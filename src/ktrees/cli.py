@@ -110,18 +110,23 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 # ---------------------------------------------------------------- commands
 
 
+# U_k[n] is constant for k >= n-1, so count and table serve a larger k from
+# k = max(order-1, 1); the engine cannot clamp, as B, C and E still vary.
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    counts = count_ktrees(args.k, args.terms - 1).U
+    order = args.terms - 1
+    counts = count_ktrees(min(args.k, max(order - 1, 1)), order).U
     _print_counts(args.k, counts, args.format, out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
+    cap = max(args.max_n - 1, 1)
+    by_k = {k: count_ktrees(k, args.max_n).U for k in range(1, min(args.max_k, cap) + 1)}
     rows: list[tuple[int | str, list[int]]] = [
-        (k, count_ktrees(k, args.max_n).U) for k in range(1, args.max_k + 1)
+        (k, by_k[min(k, cap)]) for k in range(1, args.max_k + 1)
     ]
     if args.stable:
-        rows.append(("stable", stable_counts(args.max_n)))
+        rows.append(("stable", by_k[cap] if cap in by_k else stable_counts(args.max_n)))
     _print_table(rows, args.format, out)
     return 0
 

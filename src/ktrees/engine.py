@@ -101,7 +101,7 @@ def _divisor_table(n: int) -> list[list[int]]:
 
 def _product_of_substituted(
     c_table: dict[Partition, Series],
-    powers: list[Partition],
+    powers: list[Partition] | dict[int, Partition],
     parts: Partition,
     order: int,
     memo: dict[tuple[Partition, int], Series],
@@ -179,14 +179,6 @@ def solve_system(k: int, order: int) -> SeriesCache:
     return SeriesCache(k=k, order=order, c_table=c_table, bbar_table=bbar_table)
 
 
-def _looked_up_c(cache: SeriesCache, lam_power: Partition, order: int) -> Series:
-    """C series for a cycle type of k+1 colors: zero unless it has a fixed point."""
-    key = drop_one_fixed_point(lam_power)
-    if key is None:
-        return zero(order)
-    return resized(cache.c_table[key], order)
-
-
 def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
     """Black-rooted coding trees fixed by a permutation of cycle type ``lam``.
 
@@ -198,19 +190,21 @@ def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
         B_lam = x * prod_i C_{lam^i}(x^i).
 
     ``lam`` must be a partition of k+1; lam^i always has a fixed point when
-    i is a part of lam, so no factor here is the zero series.
+    i is a part of lam, so no factor here is the zero series.  When lam =
+    mu + (1,) has a fixed color, the factor for that color is C_mu(x) and
+    the remaining factors are those of Bbar_mu, so B_{mu+(1,)} = Bbar_mu *
+    C_mu is read off the solved tables.
     """
     lam = tuple(sorted(lam, reverse=True))
     if sum(lam) != cache.k + 1:
         raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
-    n = cache.order
-    if n == 0:
+    mu = drop_one_fixed_point(lam)
+    if mu is not None:
+        return mul(cache.bbar_table[mu], cache.c_table[mu])
+    if cache.order == 0:
         return zero(0)
-    prod = one(n - 1)
-    for i in lam:
-        c_i = _looked_up_c(cache, cycle_power(lam, i), n - 1)
-        prod = mul(substitute_power(c_i, i), prod)
-    return times_x(prod)
+    powers = {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
+    return times_x(_product_of_substituted(cache.c_table, powers, lam, cache.order - 1, {}))
 
 
 def compute_B(cache: SeriesCache) -> Series:
@@ -274,19 +268,16 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     Dissymmetry applied inside one symmetry class: a tree fixed by pi is
     counted once by (black-rooted + colored-rooted - edge-rooted) rootings
     that pi preserves.  The root color of a colored or edge rooting must be
-    one of the f fixed colors of pi, hence the factor f.
+    one of the f fixed colors of pi, hence the factor f.  With a fixed color,
+    lam = mu + (1,) and the edge term Bbar_mu * C_mu is B_lam itself.
     """
     lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != cache.k + 1:
-        raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
-    fixed_colors = sum(1 for p in lam if p == 1)
-    total = compute_B_lambda(cache, lam)
-    if fixed_colors:
-        key = drop_one_fixed_point(lam)
-        c_lam = cache.c_table[key]
-        e_lam = mul(cache.bbar_table[key], c_lam)
-        total = add(total, scale(add(c_lam, scale(e_lam, -1)), fixed_colors))
-    return integer_coeffs(total)
+    b_lam = compute_B_lambda(cache, lam)
+    mu = drop_one_fixed_point(lam)
+    if mu is None:
+        return integer_coeffs(b_lam)
+    c_mu = cache.c_table[mu]
+    return integer_coeffs(add(b_lam, scale(add(c_mu, scale(b_lam, -1)), lam.count(1))))
 
 
 def stable_counts(order: int) -> list[int]:
@@ -294,9 +285,10 @@ def stable_counts(order: int) -> list[int]:
 
     Stripping the colored leaves off a coding tree with n black vertices
     leaves at most n-1 colored vertices, so once k >= n-1 additional colors
-    can never appear and the count freezes; each entry is evaluated at the
-    smallest k in that stable range.
+    can never appear and the count freezes.  One solve at k = max(order-1, 1)
+    is therefore in the stable range of every n <= order, and since a solve
+    is exact at each degree up to its order, its whole U row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return [count_ktrees(max(n - 1, 1), n).U[n] for n in range(order + 1)]
+    return count_ktrees(max(order - 1, 1), order).U

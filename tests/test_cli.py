@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ktrees import cli
+from ktrees.engine import count_ktrees
 from ktrees.series import IntegralityError
 
 
@@ -75,6 +76,30 @@ def test_table_plain_has_header(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("k\\n")
     assert len(lines) == 3
+
+
+def test_count_large_k_is_the_stable_row(capsys):
+    code, out, _ = run_cli(capsys, "count", "--k", "100", "--terms", "10", "--format", "csv")
+    assert code == 0
+    assert out == ",".join(str(c) for c in cli.STABLE_ROW) + "\n"
+
+
+def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
+    calls = []
+
+    def recording(k, order):
+        calls.append(k)
+        return count_ktrees(k, order)
+
+    monkeypatch.setattr(cli, "count_ktrees", recording)
+    code, out, _ = run_cli(
+        capsys, "table", "--max-k", "30", "--max-n", "6", "--stable", "--format", "csv"
+    )
+    assert code == 0
+    rows = [[int(v) for v in line.split(",")] for line in out.strip().splitlines()]
+    assert rows[:4] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 5)]
+    assert rows[4:] == [cli.STABLE_ROW[:7]] * 27  # k = 5..30 and the stable row
+    assert calls == [1, 2, 3, 4, 5]
 
 
 def test_stable_csv(capsys):

@@ -1,7 +1,7 @@
 """Engine tests: pinned small values, structural identities, invariants."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
@@ -15,7 +15,7 @@ from ktrees.engine import (
     solve_system,
     stable_counts,
 )
-from ktrees.partitions import partitions_of, z_of
+from ktrees.partitions import cycle_power, drop_one_fixed_point, partitions_of, z_of
 from ktrees.series import (
     add,
     integer_coeffs,
@@ -107,6 +107,21 @@ def test_black_rooted_three_cycle_structure():
     assert compute_B_lambda(cache, (3,)) == expected
 
 
+def test_B_lambda_matches_substituted_product():
+    # B_lam = x * prod_{i in lam} C_{lam^i minus one fixed point}(x^i), built
+    # here factor by factor, for fixed-point and fixed-point-free types alike.
+    for k in range(1, 6):
+        cache = solve_system(k, 10)
+        for lam in partitions_of(k + 1):
+            factors = [
+                substitute_power(
+                    resized(cache.c_table[drop_one_fixed_point(cycle_power(lam, i))], 9), i
+                )
+                for i in lam
+            ]
+            assert compute_B_lambda(cache, lam) == times_x(reduce(mul, factors)), (k, lam)
+
+
 def test_black_aggregate_identity_k1():
     # B = (x/2)(R(x)^2 + R(x^2)) as an identity of computed series.
     cache = solve_system(1, 12)
@@ -184,6 +199,12 @@ def test_per_type_tables_are_nonnegative_integers():
 
 def test_stable_counts_reference():
     assert stable_counts(9) == [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
+
+
+def test_stable_counts_matches_per_n_definition():
+    # Entries 10..12 lie beyond every embedded table.
+    per_n = [count_ktrees(max(n - 1, 1), n).U[n] for n in range(13)]
+    assert stable_counts(12) == per_n
 
 
 def test_stable_counts_trivial():
