@@ -13,8 +13,9 @@ correspond to OEIS A000055, A054581, A078792, A078793, A201702 and A224917
 (each offset by the n -> n+k vertex shift).  The reference grid below is
 embedded so every check runs offline and byte-for-byte reproducibly.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-integrality violation (an engine bug, never bad input).
+Exit codes: 0 success, 1 verification failure, 2 usage error or a query
+over the work budget, 3 internal integrality violation (an engine bug,
+never bad input).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, Sequence, TextIO
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import count_ktrees, solve_system, stable_counts
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
+from .partitions import partition_numbers
 from .series import IntegralityError, integer_coeffs
 
 # Reference values: number of k-trees with n hedra, k = 1..5 and n = 0..9,
@@ -41,6 +43,13 @@ REFERENCE_COUNTS: dict[int, list[int]] = {
     5: [1, 1, 1, 2, 5, 15, 64, 342, 2321, 18578],
 }
 STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
+
+# Largest work estimate p(k) * N^2, summed over a query's solves, that
+# count, table and stable accept.  A solve at (k, N) makes O(p(k) * k * N^2)
+# integer multiply-adds; at moderate k about 1-2 us per unit of p(k) * N^2
+# was measured, so the budget allows roughly 10-20 s there.  At k = 1 the
+# coefficients grow to thousands of bits and the edge (N = 3162) took 63 s.
+WORK_BUDGET = 10**7
 
 VERIFY_MODES = ("reference", "closedform", "oracle", "dissymmetry", "stability", "all")
 
@@ -66,6 +75,33 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+class _QueryTooLarge(Exception):
+    """A query whose work estimate exceeds WORK_BUDGET (exit code 2)."""
+
+
+def _check_budget(ks: list[int], order: int) -> None:
+    """Refuse, before any solve, the solves of ``ks`` at ``order`` if their
+    summed p(k) * order^2 exceeds WORK_BUDGET.
+
+    p only grows, so every k not yet reached costs at least the current p;
+    the scan stops once that lower bound is over, long before a large k.
+    """
+    pending = sorted(ks)
+    work = 0
+    for m, p in enumerate(partition_numbers()):
+        unit = p * order * order
+        while pending and pending[0] == m:
+            work += unit
+            pending.pop(0)
+        if work + len(pending) * unit > WORK_BUDGET:
+            raise _QueryTooLarge(
+                f"query refused: its work estimate p(k)*N^2 (N = {order}, k up to"
+                f" {max(ks)}) exceeds the budget of {WORK_BUDGET}"
+            )
+        if not pending:
+            return
 
 
 # ---------------------------------------------------------------- output
@@ -114,25 +150,33 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 # k = max(order-1, 1); the engine cannot clamp, as B, C and E still vary.
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     order = args.terms - 1
-    counts = count_ktrees(min(args.k, max(order - 1, 1)), order).U
+    k = min(args.k, max(order - 1, 1))
+    _check_budget([k], order)
+    counts = count_ktrees(k, order).U
     _print_counts(args.k, counts, args.format, out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
     cap = max(args.max_n - 1, 1)
-    by_k = {k: count_ktrees(k, args.max_n).U for k in range(1, min(args.max_k, cap) + 1)}
+    ks = list(range(1, min(args.max_k, cap) + 1))
+    if args.stable and cap > args.max_k:
+        ks.append(cap)  # the stable row is the k = cap row
+    _check_budget(ks, args.max_n)
+    by_k = {k: count_ktrees(k, args.max_n).U for k in ks}
     rows: list[tuple[int | str, list[int]]] = [
         (k, by_k[min(k, cap)]) for k in range(1, args.max_k + 1)
     ]
     if args.stable:
-        rows.append(("stable", by_k[cap] if cap in by_k else stable_counts(args.max_n)))
+        rows.append(("stable", by_k[cap]))
     _print_table(rows, args.format, out)
     return 0
 
 
 def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
-    counts = stable_counts(args.terms - 1)
+    order = args.terms - 1
+    _check_budget([max(order - 1, 1)], order)
+    counts = stable_counts(order)
     _print_counts("stable", counts, args.format, out)
     return 0
 
@@ -324,6 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
+    except _QueryTooLarge as exc:
+        print(f"ktrees: {exc}", file=sys.stderr)
+        return 2
     except IntegralityError as exc:
         print(f"internal error: non-integer count ({exc})", file=sys.stderr)
         return 3

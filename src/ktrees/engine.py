@@ -28,37 +28,29 @@ black-rooted, colored-rooted, and edge-rooted fixed-tree series.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
-bottom-up pass per degree reaches a fixed point exactly.  All series values
-are exact rationals internally and provably integers at the boundaries.
+bottom-up pass per degree reaches a fixed point exactly.  Every
+coefficient counts the trees fixed by one permutation, so the solve and the
+aggregation run on Python ints: each division (by the degree in the
+exponential recurrence, by the group order in the orbit averages) must be
+exact, and a remainder raises ``IntegralityError`` at the coefficient that
+produced it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial, gcd
+from typing import Callable
 
 from .partitions import (
     Partition,
     cycle_power,
     drop_one_fixed_point,
     partitions_of,
-    z_of,
+    permutation_count,
 )
-from .series import (
-    Series,
-    add,
-    exp_series,
-    integer_coeffs,
-    mul,
-    one,
-    resized,
-    scale,
-    substitute_power,
-    times_x,
-    zero,
-)
-
-_F0 = Fraction(0)
+from .series import IntegralityError, Series, integer_coeffs
 
 
 @dataclass
@@ -99,38 +91,42 @@ def _divisor_table(n: int) -> list[list[int]]:
     return divs
 
 
-def _product_of_substituted(
-    c_table: dict[Partition, Series],
-    powers: list[Partition] | dict[int, Partition],
-    parts: Partition,
-    order: int,
-    memo: dict[tuple[Partition, int], Series],
-) -> Series:
-    """prod over parts i (with multiplicity) of C_{powers[i]}(x^i) at ``order``.
+def _coeff_times_substituted(p: list[int], c: list[int], i: int, t: int) -> int:
+    """[x^t] of p(x) * c(x^i), reading p through degree t and c through t // i.
 
-    The same substituted series shows up in many products, so substitution
-    results are memoized per (partition key, power) within one pass.
+    ``c`` must hold at least t // i + 1 coefficients.
     """
-    prod = one(order)
-    for i in parts:
-        key = powers[i]
-        sub = memo.get((key, i))
-        if sub is None:
-            sub = substitute_power(resized(c_table[key], order), i)
-            memo[(key, i)] = sub
-        prod = mul(sub, prod)
-    return prod
+    return sum(map(operator.mul, p[t::-i], c))
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Cauchy product of two integer series, truncated at a's order."""
+    return [_coeff_times_substituted(a, b, 1, t) for t in range(len(a))]
+
+
+def _not_integer(where: str, num: int, den: int) -> IntegralityError:
+    g = gcd(num, den)
+    return IntegralityError(f"{where}: {num // g}/{den // g} is not an integer")
 
 
 def solve_system(k: int, order: int) -> SeriesCache:
     """Solve the C_mu / Bbar_mu system for all mu |- k through ``order``.
 
-    Degree-by-degree fixed point: start from C_mu = 1 (the bare colored
-    root) and Bbar_mu = 0, then for each degree d first rebuild every
-    Bbar_mu through d (its leading x factor needs C only through d-1) and
-    then every C_mu through d.  Pass d works on series truncated at d, so
-    coefficients below d are never recomputed incorrectly and the result is
-    independent of the requested order (monotone truncation).
+    Online solve on Python ints, one new coefficient of every series per
+    degree, starting from C_mu = 1 (the bare colored root) and Bbar_mu = 0.
+    At degree d:
+
+    * Bbar_mu[d] is coefficient d-1 of prod_{i in mu} C_{mu^i}(x^i), which
+      needs C only through d-1.  The solve keeps that product's partial
+      products (first factor, first two, ...) and extends each by one term.
+    * C_mu[d] comes from the Euler-transform recurrence of the exponential,
+      d * C[d] = sum_{j=1..d} a[j] * C[d-j] with
+      a[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m]; the division by d must be
+      exact, and a remainder raises IntegralityError naming k, mu and d.
+
+    Nothing below degree d is touched again, so the result is independent
+    of the requested order (monotone truncation).  The work is
+    O(p(k) * k * order^2) integer multiply-adds.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -147,36 +143,75 @@ def solve_system(k: int, order: int) -> SeriesCache:
     }
     divs = _divisor_table(order)
 
-    c_table: dict[Partition, Series] = {mu: one(0) for mu in mus}
-    bbar_table: dict[Partition, Series] = {mu: zero(0) for mu in mus}
+    c: dict[Partition, list[int]] = {mu: [1] for mu in mus}
+    bbar: dict[Partition, list[int]] = {mu: [0] for mu in mus}
+    # log_deriv[mu][j] = a[j] = j * [x^j] log C_mu; entry 0 is unused.
+    log_deriv: dict[Partition, list[int]] = {mu: [0] for mu in mus}
+    # Factor (C_{mu^i}, i) of Bbar_mu / x for each part i, and the partial
+    # products through each factor.  The C lists grow in place.
+    factors = {mu: [(c[mu_powers[mu][i]], i) for i in mu] for mu in mus}
+    partials: dict[Partition, list[list[int]]] = {mu: [[] for _ in mu] for mu in mus}
 
     for d in range(1, order + 1):
-        sub_memo: dict[tuple[Partition, int], Series] = {}
-        bbar_new: dict[Partition, Series] = {}
+        t = d - 1
         for mu in mus:
-            prod = _product_of_substituted(c_table, mu_powers[mu], mu, d - 1, sub_memo)
-            bbar_new[mu] = times_x(prod)
-        bbar_table = bbar_new
+            prev: list[int] | None = None
+            for (c_factor, i), partial in zip(factors[mu], partials[mu]):
+                if prev is None:
+                    partial.append(0 if t % i else c_factor[t // i])
+                else:
+                    partial.append(_coeff_times_substituted(prev, c_factor, i, t))
+                prev = partial
+            bbar[mu].append(prev[t])
 
-        c_new: dict[Partition, Series] = {}
         for mu in mus:
+            # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
+            # only through divisors m of d, since Bbar has no constant term.
             powers = mu_powers[mu]
-            # Argument of the exponential: sum_m Bbar_{mu^m}(x^m)/m.  Since
-            # Bbar has no constant term, the substituted series contributes
-            # at degree j only when m divides j, so the m-sum collapses to a
-            # divisor sum and truncating at m = d is exact.
-            arg = [_F0] * (d + 1)
-            for j in range(1, d + 1):
-                acc = _F0
-                for m in divs[j]:
-                    coeff = bbar_table[powers[m]].coeffs[j // m]
-                    if coeff:
-                        acc += coeff / m
-                arg[j] = acc
-            c_new[mu] = exp_series(Series(d, arg))
-        c_table = c_new
+            a = log_deriv[mu]
+            a.append(sum((d // m) * bbar[powers[m]][d // m] for m in divs[d]))
+            c_mu = c[mu]
+            total = sum(map(operator.mul, a[1:], reversed(c_mu)))
+            quotient, remainder = divmod(total, d)
+            if remainder:
+                raise _not_integer(f"k={k}, mu={mu}, degree {d}", total, d)
+            c_mu.append(quotient)
 
-    return SeriesCache(k=k, order=order, c_table=c_table, bbar_table=bbar_table)
+    return SeriesCache(
+        k=k,
+        order=order,
+        c_table={mu: Series(order, c[mu]) for mu in mus},
+        bbar_table={mu: Series(order, bbar[mu]) for mu in mus},
+    )
+
+
+def _int_table(table: dict[Partition, Series]) -> dict[Partition, list[int]]:
+    return {mu: integer_coeffs(series) for mu, series in table.items()}
+
+
+def _checked_type(cache: SeriesCache, lam: Partition) -> Partition:
+    lam = tuple(sorted(lam, reverse=True))
+    if sum(lam) != cache.k + 1:
+        raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
+    return lam
+
+
+def _b_lambda(
+    c: dict[Partition, list[int]],
+    bbar: dict[Partition, list[int]],
+    lam: Partition,
+    order: int,
+) -> list[int]:
+    """B_lam through ``order`` from the integer tables; ``lam`` is sorted."""
+    mu = drop_one_fixed_point(lam)
+    if mu is not None:
+        return _product(bbar[mu], c[mu])
+    powers = {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
+    prod = [1] + [0] * max(order - 1, 0)
+    for i in lam:
+        c_factor = c[powers[i]]
+        prod = [_coeff_times_substituted(prod, c_factor, i, t) for t in range(order)]
+    return [0] + prod
 
 
 def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
@@ -195,32 +230,46 @@ def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
     the remaining factors are those of Bbar_mu, so B_{mu+(1,)} = Bbar_mu *
     C_mu is read off the solved tables.
     """
-    lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != cache.k + 1:
-        raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
-    mu = drop_one_fixed_point(lam)
-    if mu is not None:
-        return mul(cache.bbar_table[mu], cache.c_table[mu])
-    if cache.order == 0:
-        return zero(0)
-    powers = {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
-    return times_x(_product_of_substituted(cache.c_table, powers, lam, cache.order - 1, {}))
+    lam = _checked_type(cache, lam)
+    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
+    return Series(cache.order, _b_lambda(c, bbar, lam, cache.order))
+
+
+def _orbit_average(
+    cache: SeriesCache, name: str, size: int, fixed: Callable[[Partition], list[int]]
+) -> Series:
+    """Burnside average over S_size of the series ``fixed(lam)``, lam |- size.
+
+    Kept in integers: each type is weighted by its number of permutations
+    size!/z_lam, and the one division by size! per coefficient must be exact.
+    """
+    total = [0] * (cache.order + 1)
+    for lam in partitions_of(size):
+        weight = permutation_count(lam)
+        for n, coeff in enumerate(fixed(lam)):
+            total[n] += weight * coeff
+    group = factorial(size)
+    out = []
+    for n, num in enumerate(total):
+        quotient, remainder = divmod(num, group)
+        if remainder:
+            raise _not_integer(f"k={cache.k}, {name}, degree {n}", num, group)
+        out.append(quotient)
+    return Series(cache.order, out)
 
 
 def compute_B(cache: SeriesCache) -> Series:
     """Color-orbits of black-rooted trees: average of B_lam weighted by 1/z_lam."""
-    total = zero(cache.order)
-    for lam in partitions_of(cache.k + 1):
-        total = add(total, scale(compute_B_lambda(cache, lam), Fraction(1, z_of(lam))))
-    return total
+    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
+    return _orbit_average(
+        cache, "B", cache.k + 1, lambda lam: _b_lambda(c, bbar, lam, cache.order)
+    )
 
 
 def compute_C(cache: SeriesCache) -> Series:
     """Color-orbits of colored-rooted trees: average of C_mu weighted by 1/z_mu."""
-    total = zero(cache.order)
-    for mu in partitions_of(cache.k):
-        total = add(total, scale(cache.c_table[mu], Fraction(1, z_of(mu))))
-    return total
+    c = _int_table(cache.c_table)
+    return _orbit_average(cache, "C", cache.k, c.__getitem__)
 
 
 def compute_E(cache: SeriesCache) -> Series:
@@ -229,37 +278,26 @@ def compute_E(cache: SeriesCache) -> Series:
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
     tree and a reduced black-rooted tree, independently fixed.
     """
-    total = zero(cache.order)
-    for mu in partitions_of(cache.k):
-        pair = mul(cache.bbar_table[mu], cache.c_table[mu])
-        total = add(total, scale(pair, Fraction(1, z_of(mu))))
-    return total
+    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
+    return _orbit_average(cache, "E", cache.k, lambda mu: _product(bbar[mu], c[mu]))
 
 
 def count_ktrees(k: int, order: int) -> ResultBundle:
     """Count unlabeled k-trees with 0..order hedra.
 
     Solves the rooted system, aggregates B, C, E, and applies the
-    dissymmetry identity U = B + C - E.  All four vectors must come out
-    integral; a failure raises IntegralityError and means an engine bug.
+    dissymmetry identity U = B + C - E.  Every division on the way must be
+    exact; a failure raises IntegralityError and means an engine bug.
     """
     cache = solve_system(k, order)
-    b = compute_B(cache)
-    c = compute_C(cache)
-    e = compute_E(cache)
-    u = add(add(b, c), scale(e, -1))
-    bundle = ResultBundle(
-        k=k,
-        order=order,
-        U=integer_coeffs(u),
-        B=integer_coeffs(b),
-        C=integer_coeffs(c),
-        E=integer_coeffs(e),
-    )
-    for n, count in enumerate(bundle.U):
+    b = integer_coeffs(compute_B(cache))
+    c = integer_coeffs(compute_C(cache))
+    e = integer_coeffs(compute_E(cache))
+    u = [bn + cn - en for bn, cn, en in zip(b, c, e)]
+    for n, count in enumerate(u):
         if count < 0:
             raise ArithmeticError(f"negative k-tree count U[{n}] = {count} for k={k}")
-    return bundle
+    return ResultBundle(k=k, order=order, U=u, B=b, C=c, E=e)
 
 
 def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
@@ -271,13 +309,14 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     one of the f fixed colors of pi, hence the factor f.  With a fixed color,
     lam = mu + (1,) and the edge term Bbar_mu * C_mu is B_lam itself.
     """
-    lam = tuple(sorted(lam, reverse=True))
-    b_lam = compute_B_lambda(cache, lam)
+    lam = _checked_type(cache, lam)
+    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
+    b_lam = _b_lambda(c, bbar, lam, cache.order)
     mu = drop_one_fixed_point(lam)
     if mu is None:
-        return integer_coeffs(b_lam)
-    c_mu = cache.c_table[mu]
-    return integer_coeffs(add(b_lam, scale(add(c_mu, scale(b_lam, -1)), lam.count(1))))
+        return b_lam
+    fixed_colors = lam.count(1)
+    return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, c[mu])]
 
 
 def stable_counts(order: int) -> list[int]:

@@ -9,6 +9,7 @@ k-tree counting system, so the canonical form is simply the sorted tuple.
 from __future__ import annotations
 
 from math import factorial, gcd
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -34,6 +35,34 @@ def partitions_of(m: int) -> list[Partition]:
 
     descend(m, m, ())
     return out
+
+
+def partition_numbers() -> Iterator[int]:
+    """p(0), p(1), p(2), ...: how many partitions each m has, none enumerated.
+
+    Euler's pentagonal number recurrence
+    p(m) = sum_{j>=1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)),
+    O(m^1.5) operations through m, so a caller can stop as soon as p is
+    large enough for its purpose.
+
+    >>> from itertools import islice
+    >>> list(islice(partition_numbers(), 8))
+    [1, 1, 2, 3, 5, 7, 11, 15]
+    """
+    p: list[int] = []
+    m = 0
+    while True:
+        total = 0 if m else 1
+        j = 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * p[m - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+        yield total
+        m += 1
 
 
 def z_of(lam: Partition) -> int:

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ktrees import cli
+from ktrees import cli, engine
 from ktrees.engine import count_ktrees
 from ktrees.series import IntegralityError
 
@@ -147,6 +148,49 @@ def test_integrality_violation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "non-integer" in err
+
+
+def test_located_integrality_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        engine, "_divisor_table", lambda n: [[1] if j else [] for j in range(n + 1)]
+    )
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--terms", "6")
+    assert code == 3
+    assert out == ""
+    assert "k=2, mu=(2,), degree 2" in err
+
+
+def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a refused query must not be solved")
+
+    monkeypatch.setattr(cli, "count_ktrees", never)
+    monkeypatch.setattr(cli, "stable_counts", never)
+    for argv in (
+        ["count", "--k", "40", "--terms", "200"],
+        ["count", "--k", "99", "--terms", "101"],  # p(99) ~ 1.7e8 partitions
+        ["count", "--k", "100000", "--terms", "100001"],
+        ["table", "--max-k", "40", "--max-n", "200"],
+        ["stable", "--terms", "200"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert out == ""
+        assert err.count("\n") == 1 and "budget" in err, argv
+
+
+def test_work_budget_edge():
+    # p(1) * N^2 with N = 3162 is just under 10^7, N = 3163 just over.
+    cli._check_budget([1], 3162)
+    with pytest.raises(cli._QueryTooLarge):
+        cli._check_budget([1], 3163)
+    # A table's estimate sums its solves: p(30) * 31^2 alone fits the
+    # budget, (p(1) + ... + p(30)) * 31^2 does not.
+    cli._check_budget([30], 31)
+    with pytest.raises(cli._QueryTooLarge):
+        cli._check_budget(list(range(1, 31)), 31)
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ from functools import lru_cache, reduce
 
 import pytest
 
+from ktrees import engine
 from ktrees.engine import (
     compute_B,
     compute_B_lambda,
@@ -17,13 +18,17 @@ from ktrees.engine import (
 )
 from ktrees.partitions import cycle_power, drop_one_fixed_point, partitions_of, z_of
 from ktrees.series import (
+    IntegralityError,
     add,
+    exp_series,
     integer_coeffs,
     mul,
+    one,
     resized,
     scale,
     substitute_power,
     times_x,
+    zero,
 )
 
 
@@ -247,3 +252,79 @@ def test_bad_arguments_rejected():
         solve_system(2, -1)
     with pytest.raises(ValueError):
         stable_counts(-1)
+
+
+def full_recompute_solve(k, order):
+    """Independent reference for solve_system, on the rational series.
+
+    At each degree d every Bbar_mu and C_mu is rebuilt through d from the
+    previous pass, straight from the defining equations
+        Bbar_mu = x * prod_i C_{mu^i}(x^i),
+        C_mu = exp(sum_{m>=1} Bbar_{mu^m}(x^m) / m),
+    with Fraction arithmetic and no shared code with the engine's solve.
+    """
+    mus = partitions_of(k)
+    c = {mu: one(0) for mu in mus}
+    bbar = {mu: zero(0) for mu in mus}
+    for d in range(1, order + 1):
+        bbar = {
+            mu: times_x(
+                reduce(
+                    mul,
+                    [substitute_power(resized(c[cycle_power(mu, i)], d - 1), i) for i in mu],
+                )
+            )
+            for mu in mus
+        }
+        c = {
+            mu: exp_series(
+                reduce(
+                    add,
+                    [
+                        scale(substitute_power(bbar[cycle_power(mu, m)], m), Fraction(1, m))
+                        for m in range(1, d + 1)
+                    ],
+                )
+            )
+            for mu in mus
+        }
+    return c, bbar
+
+
+def test_integer_solve_matches_rational_full_recompute():
+    order = 12
+    for k in range(1, 7):
+        c, bbar = full_recompute_solve(k, order)
+        cache = solve_system(k, order)
+        assert cache.c_table == c, k
+        assert cache.bbar_table == bbar, k
+
+        # Burnside averages with Fraction weights 1/z over the reference tables.
+        b_ref = zero(order)
+        for lam in partitions_of(k + 1):
+            factors = [
+                substitute_power(
+                    resized(c[drop_one_fixed_point(cycle_power(lam, i))], order - 1), i
+                )
+                for i in lam
+            ]
+            b_ref = add(b_ref, scale(times_x(reduce(mul, factors)), Fraction(1, z_of(lam))))
+        c_ref = reduce(add, [scale(c[mu], Fraction(1, z_of(mu))) for mu in c])
+        e_ref = reduce(
+            add, [scale(mul(bbar[mu], c[mu]), Fraction(1, z_of(mu))) for mu in c]
+        )
+        bundle = count_ktrees(k, order)
+        assert bundle.B == integer_coeffs(b_ref), k
+        assert bundle.C == integer_coeffs(c_ref), k
+        assert bundle.E == integer_coeffs(e_ref), k
+
+
+def test_integrality_failure_names_k_type_and_degree(monkeypatch):
+    # Dropping every m > 1 from the exponential's divisor sums breaks the
+    # recurrence; the exact division must fail where it first happens.
+    monkeypatch.setattr(
+        engine, "_divisor_table", lambda n: [[1] if j else [] for j in range(n + 1)]
+    )
+    located = r"^k=2, mu=\(2,\), degree 2: 1/2 is not an integer$"
+    with pytest.raises(IntegralityError, match=located):
+        solve_system(2, 5)

@@ -1,7 +1,7 @@
 """Partition enumeration and cycle-type algebra."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from ktrees.partitions import (
     cycle_power,
     drop_one_fixed_point,
+    partition_numbers,
     partitions_of,
     permutation_count,
     permutation_cycle_type,
@@ -53,6 +54,13 @@ def test_partitions_reverse_lex_is_descending():
         got = partitions_of(m)
         assert got == sorted(got, reverse=True)
         assert all(sum(p) == m for p in got)
+
+
+def test_partition_numbers_count_the_enumeration():
+    counts = list(islice(partition_numbers(), 101))
+    assert counts[:21] == [len(partitions_of(m)) for m in range(21)]
+    assert counts[99] == 169229875
+    assert counts[100] == 190569292
 
 
 def test_z_of_examples():
