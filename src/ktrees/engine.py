@@ -24,7 +24,17 @@ yields the unrooted count
     U = B + C - E,
 
 with B, C, E the centralizer-weighted averages over cycle types of the
-black-rooted, colored-rooted, and edge-rooted fixed-tree series.
+black-rooted, colored-rooted, and edge-rooted fixed-tree series.  Every
+black-rooted term is one product over the color cycles of a permutation of
+type lam |- k+1,
+
+    B_lam = x * prod_i C_{lam^i minus one fixed point}(x^i),
+
+and when lam = mu + (1,) has a fixed color, the last factor is C_mu(x) and
+the product of the factors before it is Bbar_mu / x; that
+B_{mu+(1,)} = Bbar_mu * C_mu is also E's mu-term.  So the solve keeps one
+product chain per lam |- k+1 and reads Bbar_mu and every B_lam off it:
+each product is built once.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -40,7 +50,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import factorial, gcd
+from functools import cached_property
+from math import factorial, gcd, lcm
 from typing import Callable
 
 from .partitions import (
@@ -55,16 +66,28 @@ from .series import IntegralityError, Series, integer_coeffs
 
 @dataclass
 class SeriesCache:
-    """Solved per-cycle-type series for one (k, order) computation.
+    """Solved per-cycle-type integer tables for one (k, order) computation.
 
-    Both tables are keyed by exactly the partitions of k; after
-    :func:`solve_system` every stored series is correct through ``order``.
+    ``c`` and ``bbar`` hold C_mu and Bbar_mu, keyed by exactly the
+    partitions mu of k; ``b`` holds B_lam, keyed by exactly the partitions
+    lam of k+1.  After :func:`solve_system` every table has order + 1
+    coefficients, all correct.  ``c_table`` and ``bbar_table`` are the same
+    C_mu and Bbar_mu as :class:`Series`, built on first read.
     """
 
     k: int
     order: int
-    c_table: dict[Partition, Series]
-    bbar_table: dict[Partition, Series]
+    c: dict[Partition, list[int]]
+    bbar: dict[Partition, list[int]]
+    b: dict[Partition, list[int]]
+
+    @cached_property
+    def c_table(self) -> dict[Partition, Series]:
+        return {mu: Series(self.order, coeffs) for mu, coeffs in self.c.items()}
+
+    @cached_property
+    def bbar_table(self) -> dict[Partition, Series]:
+        return {mu: Series(self.order, coeffs) for mu, coeffs in self.bbar.items()}
 
 
 @dataclass
@@ -91,17 +114,25 @@ def _divisor_table(n: int) -> list[list[int]]:
     return divs
 
 
+def _powers(mu: Partition, order: int) -> list[Partition]:
+    """Cycle types of pi^0 (unused), pi^1, ..., pi^order for pi of type ``mu``.
+
+    pi^m depends on m only through gcd(m, lcm(mu)), so each divisor of
+    lcm(mu) up to ``order`` costs one :func:`cycle_power`.
+    """
+    period = lcm(*mu)
+    by_gcd = {
+        g: cycle_power(mu, g) for g in range(1, min(period, order) + 1) if period % g == 0
+    }
+    return [mu] + [by_gcd[gcd(m, period)] for m in range(1, order + 1)]
+
+
 def _coeff_times_substituted(p: list[int], c: list[int], i: int, t: int) -> int:
     """[x^t] of p(x) * c(x^i), reading p through degree t and c through t // i.
 
     ``c`` must hold at least t // i + 1 coefficients.
     """
     return sum(map(operator.mul, p[t::-i], c))
-
-
-def _product(a: list[int], b: list[int]) -> list[int]:
-    """Cauchy product of two integer series, truncated at a's order."""
-    return [_coeff_times_substituted(a, b, 1, t) for t in range(len(a))]
 
 
 def _not_integer(where: str, num: int, den: int) -> IntegralityError:
@@ -113,12 +144,16 @@ def solve_system(k: int, order: int) -> SeriesCache:
     """Solve the C_mu / Bbar_mu system for all mu |- k through ``order``.
 
     Online solve on Python ints, one new coefficient of every series per
-    degree, starting from C_mu = 1 (the bare colored root) and Bbar_mu = 0.
-    At degree d:
+    degree, starting from C_mu = 1 (the bare colored root) and
+    Bbar_mu = B_lam = 0.  There is one product chain per lam |- k+1, with
+    the factors C_{lam^i minus one fixed point}(x^i) for the parts i of lam
+    in descending order; the solve keeps its partial products (first
+    factor, first two, ...) and extends each by one term per degree.  At
+    degree d:
 
-    * Bbar_mu[d] is coefficient d-1 of prod_{i in mu} C_{mu^i}(x^i), which
-      needs C only through d-1.  The solve keeps that product's partial
-      products (first factor, first two, ...) and extends each by one term.
+    * B_lam[d] is coefficient d-1 of the whole chain.  When lam = mu + (1,),
+      the last factor is C_mu(x) and Bbar_mu[d] is coefficient d-1 of the
+      partial product before it.  Both need C only through d-1.
     * C_mu[d] comes from the Euler-transform recurrence of the exponential,
       d * C[d] = sum_{j=1..d} a[j] * C[d-j] with
       a[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m]; the division by d must be
@@ -126,7 +161,9 @@ def solve_system(k: int, order: int) -> SeriesCache:
 
     Nothing below degree d is touched again, so the result is independent
     of the requested order (monotone truncation).  The work is
-    O(p(k) * k * order^2) integer multiply-adds.
+    O(p(k+1) * k * order^2) integer multiply-adds.  The returned cache
+    holds the C_mu and Bbar_mu tables (keyed by mu |- k) and the B_lam
+    tables (keyed by lam |- k+1).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -134,35 +171,38 @@ def solve_system(k: int, order: int) -> SeriesCache:
         raise ValueError(f"order must be >= 0, got {order}")
 
     mus = partitions_of(k)
-    # mu_powers[mu][m] = cycle type of pi^m for pi of type mu; index 0 unused.
-    # Indexed both by exponential-sum degrees (m <= order) and by parts of mu
-    # (i <= k), so cover the larger range.
-    max_power = max(order, k)
-    mu_powers: dict[Partition, list[Partition]] = {
-        mu: [mu] + [cycle_power(mu, m) for m in range(1, max_power + 1)] for mu in mus
-    }
+    lams = partitions_of(k + 1)
+    # mu_powers[mu][m] = cycle type of pi^m for pi of type mu, m <= order.
+    mu_powers = {mu: _powers(mu, order) for mu in mus}
     divs = _divisor_table(order)
 
     c: dict[Partition, list[int]] = {mu: [1] for mu in mus}
     bbar: dict[Partition, list[int]] = {mu: [0] for mu in mus}
+    b: dict[Partition, list[int]] = {lam: [0] for lam in lams}
     # log_deriv[mu][j] = a[j] = j * [x^j] log C_mu; entry 0 is unused.
     log_deriv: dict[Partition, list[int]] = {mu: [0] for mu in mus}
-    # Factor (C_{mu^i}, i) of Bbar_mu / x for each part i, and the partial
-    # products through each factor.  The C lists grow in place.
-    factors = {mu: [(c[mu_powers[mu][i]], i) for i in mu] for mu in mus}
-    partials: dict[Partition, list[list[int]]] = {mu: [[] for _ in mu] for mu in mus}
+    # Factor (C_{lam^i minus one fixed point}, i) of B_lam / x for each part
+    # i, and the partial products through each factor.  The C lists grow in
+    # place.
+    factors: dict[Partition, list[tuple[list[int], int]]] = {}
+    for lam in lams:
+        by_part = {i: c[drop_one_fixed_point(cycle_power(lam, i))] for i in set(lam)}
+        factors[lam] = [(by_part[i], i) for i in lam]
+    partials: dict[Partition, list[list[int]]] = {lam: [[] for _ in lam] for lam in lams}
 
     for d in range(1, order + 1):
         t = d - 1
-        for mu in mus:
+        for lam in lams:
             prev: list[int] | None = None
-            for (c_factor, i), partial in zip(factors[mu], partials[mu]):
+            for (c_factor, i), partial in zip(factors[lam], partials[lam]):
                 if prev is None:
                     partial.append(0 if t % i else c_factor[t // i])
                 else:
                     partial.append(_coeff_times_substituted(prev, c_factor, i, t))
                 prev = partial
-            bbar[mu].append(prev[t])
+            b[lam].append(prev[t])
+        for mu in mus:
+            bbar[mu].append(partials[mu + (1,)][-2][t])
 
         for mu in mus:
             # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
@@ -177,41 +217,14 @@ def solve_system(k: int, order: int) -> SeriesCache:
                 raise _not_integer(f"k={k}, mu={mu}, degree {d}", total, d)
             c_mu.append(quotient)
 
-    return SeriesCache(
-        k=k,
-        order=order,
-        c_table={mu: Series(order, c[mu]) for mu in mus},
-        bbar_table={mu: Series(order, bbar[mu]) for mu in mus},
-    )
-
-
-def _int_table(table: dict[Partition, Series]) -> dict[Partition, list[int]]:
-    return {mu: integer_coeffs(series) for mu, series in table.items()}
+    return SeriesCache(k=k, order=order, c=c, bbar=bbar, b=b)
 
 
 def _checked_type(cache: SeriesCache, lam: Partition) -> Partition:
     lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != cache.k + 1:
+    if lam not in cache.b:
         raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
     return lam
-
-
-def _b_lambda(
-    c: dict[Partition, list[int]],
-    bbar: dict[Partition, list[int]],
-    lam: Partition,
-    order: int,
-) -> list[int]:
-    """B_lam through ``order`` from the integer tables; ``lam`` is sorted."""
-    mu = drop_one_fixed_point(lam)
-    if mu is not None:
-        return _product(bbar[mu], c[mu])
-    powers = {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
-    prod = [1] + [0] * max(order - 1, 0)
-    for i in lam:
-        c_factor = c[powers[i]]
-        prod = [_coeff_times_substituted(prod, c_factor, i, t) for t in range(order)]
-    return [0] + prod
 
 
 def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
@@ -224,15 +237,12 @@ def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
 
         B_lam = x * prod_i C_{lam^i}(x^i).
 
-    ``lam`` must be a partition of k+1; lam^i always has a fixed point when
-    i is a part of lam, so no factor here is the zero series.  When lam =
-    mu + (1,) has a fixed color, the factor for that color is C_mu(x) and
-    the remaining factors are those of Bbar_mu, so B_{mu+(1,)} = Bbar_mu *
-    C_mu is read off the solved tables.
+    ``lam`` must be a partition of k+1, in any order; lam^i always has a
+    fixed point when i is a part of lam, so no factor here is the zero
+    series.  This is the solve's product chain for lam, read off
+    ``cache.b``; for lam = mu + (1,) it equals Bbar_mu * C_mu.
     """
-    lam = _checked_type(cache, lam)
-    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
-    return Series(cache.order, _b_lambda(c, bbar, lam, cache.order))
+    return Series(cache.order, cache.b[_checked_type(cache, lam)])
 
 
 def _orbit_average(
@@ -260,26 +270,23 @@ def _orbit_average(
 
 def compute_B(cache: SeriesCache) -> Series:
     """Color-orbits of black-rooted trees: average of B_lam weighted by 1/z_lam."""
-    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
-    return _orbit_average(
-        cache, "B", cache.k + 1, lambda lam: _b_lambda(c, bbar, lam, cache.order)
-    )
+    return _orbit_average(cache, "B", cache.k + 1, cache.b.__getitem__)
 
 
 def compute_C(cache: SeriesCache) -> Series:
     """Color-orbits of colored-rooted trees: average of C_mu weighted by 1/z_mu."""
-    c = _int_table(cache.c_table)
-    return _orbit_average(cache, "C", cache.k, c.__getitem__)
+    return _orbit_average(cache, "C", cache.k, cache.c.__getitem__)
 
 
 def compute_E(cache: SeriesCache) -> Series:
     """Color-orbits of edge-rooted trees: average of Bbar_mu*C_mu by 1/z_mu.
 
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
-    tree and a reduced black-rooted tree, independently fixed.
+    tree and a reduced black-rooted tree, independently fixed.  Their
+    product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's chain for
+    mu + (1,).
     """
-    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
-    return _orbit_average(cache, "E", cache.k, lambda mu: _product(bbar[mu], c[mu]))
+    return _orbit_average(cache, "E", cache.k, lambda mu: cache.b[mu + (1,)])
 
 
 def count_ktrees(k: int, order: int) -> ResultBundle:
@@ -306,17 +313,17 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     Dissymmetry applied inside one symmetry class: a tree fixed by pi is
     counted once by (black-rooted + colored-rooted - edge-rooted) rootings
     that pi preserves.  The root color of a colored or edge rooting must be
-    one of the f fixed colors of pi, hence the factor f.  With a fixed color,
-    lam = mu + (1,) and the edge term Bbar_mu * C_mu is B_lam itself.
+    one of the f fixed colors of pi, hence the factor f.  The black term is
+    B_lam from ``cache.b``; with a fixed color, lam = mu + (1,) and the edge
+    term Bbar_mu * C_mu is that same B_lam.
     """
     lam = _checked_type(cache, lam)
-    c, bbar = _int_table(cache.c_table), _int_table(cache.bbar_table)
-    b_lam = _b_lambda(c, bbar, lam, cache.order)
+    b_lam = cache.b[lam]
     mu = drop_one_fixed_point(lam)
     if mu is None:
-        return b_lam
+        return list(b_lam)
     fixed_colors = lam.count(1)
-    return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, c[mu])]
+    return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[mu])]
 
 
 def stable_counts(order: int) -> list[int]:

@@ -83,6 +83,12 @@ def test_degree_zero_tables():
         for mu in partitions_of(k):
             assert integer_coeffs(cache.c_table[mu]) == [1]
             assert integer_coeffs(cache.bbar_table[mu]) == [0]
+        # Every B_lam chain, fixed-point-free ones included: nothing at
+        # order 0, and at order 1 the lone black vertex every permutation fixes.
+        cache1 = solve_system(k, 1)
+        for lam in partitions_of(k + 1):
+            assert integer_coeffs(compute_B_lambda(cache, lam)) == [0], (k, lam)
+            assert integer_coeffs(compute_B_lambda(cache1, lam)) == [0, 1], (k, lam)
 
 
 def test_reduced_blackrooted_linear_term_is_one():
@@ -243,6 +249,15 @@ def test_wrong_partition_size_rejected():
         compute_B_lambda(cache, (2,))
     with pytest.raises(ValueError, match="partition of 3"):
         count_fixed_by_type(cache, (4,))
+    # Sums to 3 but has a part below 1: not a cycle type.
+    for malformed in [(3, 0), (4, -1)]:
+        with pytest.raises(ValueError, match="partition of 3"):
+            compute_B_lambda(cache, malformed)
+        with pytest.raises(ValueError, match="partition of 3"):
+            count_fixed_by_type(cache, malformed)
+    # Parts in any order name the same type.
+    assert compute_B_lambda(cache, (1, 2)) == compute_B_lambda(cache, (2, 1))
+    assert count_fixed_by_type(cache, (1, 2)) == count_fixed_by_type(cache, (2, 1))
 
 
 def test_bad_arguments_rejected():
