@@ -12,6 +12,7 @@ which exercises the engine's aggregation against the known reductions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .engine import solve_system
 from .series import (
@@ -72,6 +73,7 @@ def otter_U(order: int) -> Series:
     return add(r, scale(_x_times(sym_diff), Fraction(-1, 2)))
 
 
+@lru_cache(maxsize=None)
 def twotree_rooted_series(order: int) -> tuple[Series, Series]:
     """The two rooted series of the self-contained 2-tree solution.
 

@@ -7,17 +7,19 @@ vertices stand for the hedra of a k-tree, colored vertices for its fronts,
 so counting color-orbits of these trees under S_{k+1} counts unlabeled
 k-trees directly.
 
-This module enumerates every isomorphism class explicitly (canonical forms
-of colored trees, rooted at the tree center) and takes orbits by sweeping
-all (k+1)! recolorings.  It exists purely to cross-check the generating
-function engine, so it refuses inputs beyond a small documented scale
-rather than silently grinding through a combinatorial explosion.
+This module enumerates every isomorphism class explicitly and takes orbits
+by sweeping all (k+1)! recolorings.  Trees are generated directly as
+canonical codes of colored rooted trees; a rooted shape is kept when its
+root is the tree center, found from the heights of the root's branches.
+It exists purely to cross-check the generating function engine, so it
+refuses inputs beyond a small documented scale rather than silently
+grinding through a combinatorial explosion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from typing import Iterator, Sequence
 
 # Soft desk-scale limits: plenty to corroborate the engine, small enough
@@ -53,12 +55,9 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-# Rooted construction codes, already canonical for *rooted* colored trees:
-#   colored node: (color, units)   units = sorted tuple of black units
-#   black unit:   tuple of colored child nodes, ascending by color
 @lru_cache(maxsize=None)
-def _colored_rooted(k: int, j: int, n: int) -> tuple:
-    """All trees rooted at a colored vertex of color j with n black vertices.
+def _colored_rooted(k: int, j: int, n: int) -> tuple[CanonicalCode, ...]:
+    """Codes of all trees rooted at a vertex of color j with n black vertices.
 
     The root carries a multiset of black-rooted units; multisets are
     enumerated one size class at a time so recursion depth stays at n.
@@ -83,153 +82,83 @@ def _colored_rooted(k: int, j: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _black_units(k: int, j: int, m: int) -> tuple:
-    """Black-rooted subtrees hanging below a colored vertex of color j.
+def _black_units(k: int, j: int, m: int) -> tuple[CanonicalCode, ...]:
+    """Codes of black-rooted subtrees with m black vertices below color j.
 
     The black root already has its parent of color j, so it carries one
-    colored child of every other color; m counts its black vertices.
+    colored child of every other color; with j = 0 (no parent) it carries
+    all k+1 colors, which gives every black-rooted tree.  The children have
+    distinct colors, so listing them in color order is already sorted.
     """
     other_colors = [c for c in range(1, k + 2) if c != j]
     out = []
-    for comp in _compositions(m - 1, k):
+    for comp in _compositions(m - 1, len(other_colors)):
         pools = [_colored_rooted(k, c, size) for c, size in zip(other_colors, comp)]
-        for combo in product(*pools):
-            out.append(tuple(combo))
+        out.extend((0, combo) for combo in product(*pools))
     return tuple(out)
 
 
-def _black_rooted(k: int, n: int) -> Iterator[tuple]:
-    """All trees rooted at a black vertex with n black vertices (n >= 1)."""
-    for comp in _compositions(n - 1, k + 1):
-        pools = [
-            _colored_rooted(k, c, size)
-            for c, size in zip(range(1, k + 2), comp)
-        ]
-        yield from product(*pools)
+def _height(code: CanonicalCode) -> int:
+    """Number of edges from the root of ``code`` down to its deepest leaf."""
+    tallest = -1
+    for child in code[1]:
+        tallest = max(tallest, _height(child))
+    return tallest + 1
 
 
-def _decode(root, is_black_root: bool) -> tuple[list[int], list[list[int]]]:
-    """Expand a construction code into (vertex colors, adjacency lists).
+def _rooted_at_center(code: CanonicalCode) -> bool:
+    """Whether the root of ``code`` is the center of its tree.
 
-    The root gets vertex id 0.  Black vertices have color 0.
+    Every leaf of a coding tree is colored and every edge joins a black
+    vertex to a colored one, so leaf-to-leaf paths have even length and the
+    center is a single vertex: the one whose two tallest branches are
+    equally tall.  A lone vertex is its own center.
     """
-    colors: list[int] = []
-    adj: list[list[int]] = []
-
-    def alloc(color: int) -> int:
-        colors.append(color)
-        adj.append([])
-        return len(colors) - 1
-
-    def link(u: int, v: int) -> None:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def visit_colored(node, parent: int | None) -> None:
-        color, units = node
-        v = alloc(color)
-        if parent is not None:
-            link(v, parent)
-        for unit in units:
-            visit_black(unit, v)
-
-    def visit_black(unit, parent: int | None) -> None:
-        v = alloc(0)
-        if parent is not None:
-            link(v, parent)
-        for child in unit:
-            visit_colored(child, v)
-
-    if is_black_root:
-        visit_black(root, None)
-    else:
-        visit_colored(root, None)
-    return colors, adj
+    heights = sorted(map(_height, code[1]), reverse=True)
+    return not heights or (len(heights) > 1 and heights[0] == heights[1])
 
 
-def _center_vertex(colors: Sequence[int], adj: Sequence[Sequence[int]]) -> int:
-    """The unique center vertex, by iterated leaf stripping.
+def _validate_coding_tree(
+    k: int, code: CanonicalCode, parent_color: int | None = None
+) -> None:
+    """Raise ``AssertionError`` unless ``code`` satisfies the coding-tree rules.
 
-    All leaves of a coding tree are colored, so leaf-to-leaf paths have
-    even length and the center is a single vertex.  Should stripping ever
-    end on an edge anyway, the black endpoint is the deterministic,
-    isomorphism-invariant choice (every edge has exactly one).
+    Each black vertex, counting its parent, has exactly one neighbor of
+    each color 1..k+1, and no colored vertex has a colored neighbor.
     """
-    n = len(adj)
-    if n == 1:
-        return 0
-    deg = [len(nbrs) for nbrs in adj]
-    leaves = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(leaves)
-        nxt = []
-        for u in leaves:
-            deg[u] = 0
-            for w in adj[u]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        leaves = nxt
-    if len(leaves) == 1:
-        return leaves[0]
-    a, b = leaves
-    return a if colors[a] == 0 else b
-
-
-def _canonical_code(
-    v: int, parent: int, colors: Sequence[int], adj: Sequence[Sequence[int]]
-) -> CanonicalCode:
-    subs = sorted(
-        _canonical_code(u, v, colors, adj) for u in adj[v] if u != parent
-    )
-    return (colors[v], tuple(subs))
-
-
-def _validate_coding_tree(k: int, colors: Sequence[int], adj: Sequence[Sequence[int]]) -> None:
-    n_vertices = len(colors)
-    n_edges = sum(len(nbrs) for nbrs in adj) // 2
-    if n_edges != n_vertices - 1:
-        raise AssertionError("enumerated graph is not a tree")
-    full_palette = set(range(1, k + 2))
-    for v, color in enumerate(colors):
-        if color == 0:
-            nbr_colors = [colors[u] for u in adj[v]]
-            if 0 in nbr_colors or set(nbr_colors) != full_palette or len(nbr_colors) != k + 1:
-                raise AssertionError(f"black vertex {v} lacks one neighbor of each color")
-        else:
-            if any(colors[u] != 0 for u in adj[v]):
-                raise AssertionError(f"colored vertex {v} has a colored neighbor")
+    color, children = code
+    child_colors = [c for c, _ in children]
+    if color == 0:
+        if parent_color is not None:
+            child_colors.append(parent_color)
+        if sorted(child_colors) != list(range(1, k + 2)):
+            raise AssertionError(f"black vertex lacks one neighbor of each color: {code}")
+    elif any(child_colors):
+        raise AssertionError(f"colored vertex has a colored neighbor: {code}")
+    for child in children:
+        _validate_coding_tree(k, child, color)
 
 
 @lru_cache(maxsize=None)
 def _all_codes(k: int, n: int) -> tuple[CanonicalCode, ...]:
-    codes = set()
-
-    def consider(root, is_black_root: bool) -> None:
-        colors, adj = _decode(root, is_black_root)
-        if _center_vertex(colors, adj) != 0:
-            return
-        _validate_coding_tree(k, colors, adj)
-        codes.add(_canonical_code(0, -1, colors, adj))
-
-    for j in range(1, k + 2):
-        for node in _colored_rooted(k, j, n):
-            consider(node, False)
-    if n >= 1:
-        for unit in _black_rooted(k, n):
-            consider(unit, True)
-    return tuple(sorted(codes))
+    rooted = chain(
+        _black_units(k, 0, n), *(_colored_rooted(k, j, n) for j in range(1, k + 2))
+    )
+    kept = [code for code in rooted if _rooted_at_center(code)]
+    for code in kept:
+        _validate_coding_tree(k, code)
+    return tuple(sorted(kept))
 
 
 def enumerate_coding_trees(k: int, n: int) -> list[CanonicalCode]:
     """Canonical codes of all k-coding trees with exactly n black vertices.
 
-    Rooted shapes are generated recursively; a shape is kept only when its
-    root is the tree's center, which selects exactly one rooted form per
-    isomorphism class.  Results are sorted for reproducibility and cached
-    per (k, n), since the orbit and fixed-count sweeps revisit them.
+    Rooted shapes are generated recursively, each already as its canonical
+    code; a shape is kept only when its root is the tree's center, that is
+    when its two tallest branches are equally tall (or it has no branch).
+    That selects exactly one rooted form per isomorphism class.  Results
+    are sorted for reproducibility and cached per (k, n), since the orbit
+    and fixed-count sweeps revisit them.
     """
     _check_scale(k, n)
     return list(_all_codes(k, n))

@@ -9,6 +9,7 @@ from ktrees.engine import count_fixed_by_type, count_ktrees, solve_system
 from ktrees.oracle import (
     MAX_K,
     MAX_N,
+    _validate_coding_tree,
     enumerate_coding_trees,
     fixed_count,
     orbit_count,
@@ -30,6 +31,75 @@ def test_zero_hedra():
     # The bare front: one class per color, a single orbit.
     assert len(enumerate_coding_trees(2, 0)) == 3
     assert orbit_count(2, 0) == 1
+
+
+# Isomorphism classes of k-coding trees with n = 0..6 black vertices.
+CLASS_COUNTS = {
+    1: [2, 1, 2, 3, 6, 10, 22],
+    2: [3, 1, 3, 6, 19, 54, 204],
+    3: [4, 1, 4, 10, 44, 185, 1008],
+}
+
+
+def test_class_counts_pinned():
+    # Keeping a non-center rooting as well would inflate these counts.
+    got = {
+        k: [len(enumerate_coding_trees(k, n)) for n in range(MAX_N + 1)]
+        for k in CLASS_COUNTS
+    }
+    assert got == CLASS_COUNTS
+    assert sum(map(sum, got.values())) == 1592
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        (0, ((1, ()), (2, ()))),  # black vertex missing color 3
+        (0, ((1, ()), (2, ()), (2, ()))),  # black vertex with color 2 twice
+        # black child repeats its parent's color 1
+        (1, ((0, ((1, ()), (2, ()), (3, ()))),)),
+        (1, ((2, ()),)),  # colored vertex with a colored child
+    ],
+)
+def test_validator_rejects_malformed_codes(code):
+    with pytest.raises(AssertionError):
+        _validate_coding_tree(2, code)
+
+
+def test_validator_accepts_enumerated_codes():
+    for code in enumerate_coding_trees(2, 3):
+        _validate_coding_tree(2, code)
+
+
+def test_networkx_agrees_on_center_and_distinct_classes():
+    nx = pytest.importorskip("networkx")
+
+    def to_graph(code):
+        graph = nx.Graph()
+
+        def add(node, parent):
+            v = graph.number_of_nodes()
+            graph.add_node(v, color=node[0])
+            if parent is not None:
+                graph.add_edge(parent, v)
+            for child in node[1]:
+                add(child, v)
+
+        add(code, None)
+        return graph
+
+    for k in range(1, MAX_K + 1):
+        for n in range(6):
+            hashes = set()
+            for code in enumerate_coding_trees(k, n):
+                graph = to_graph(code)
+                assert nx.center(graph) == [0], (k, n, code)
+                hashes.add(
+                    nx.weisfeiler_lehman_graph_hash(
+                        graph, node_attr="color", iterations=2 * n + 2
+                    )
+                )
+            assert len(hashes) == len(enumerate_coding_trees(k, n)), (k, n)
 
 
 def test_orbit_count_reference_values():
