@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import permutations
+from itertools import pairwise, permutations
 from math import factorial
 from typing import Callable, Sequence, TextIO
 
@@ -44,12 +44,16 @@ REFERENCE_COUNTS: dict[int, list[int]] = {
 }
 STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
 
-# Largest work estimate p(k) * N^2, summed over a query's solves, that
-# count, table and stable accept.  A solve at (k, N) makes O(p(k) * k * N^2)
-# integer multiply-adds; at moderate k about 1-2 us per unit of p(k) * N^2
-# was measured, so the budget allows roughly 10-20 s there.  At k = 1 the
-# coefficients grow to thousands of bits and the edge (N = 3162) took 63 s.
-WORK_BUDGET = 10**7
+# Largest work estimate, summed over a query's solves, that count, table
+# and stable accept.  A solve at (k, N) grows its p(k+1) + 2 * p(k) series
+# (every B_lam, Bbar_mu and C_mu) by one exponential step per degree, about
+# (p(k+1) + 2 * p(k)) * N^2 integer multiply-adds.  Its coefficients stay
+# under N * (k.bit_length() + 1) bits, and a multiply-add costs more as they
+# grow, so the estimate weighs each by f = 1 + bits / 4096.  On a 2-core
+# host with Python 3.11, solves on the budget's edge took 4-11 s: (1, 1958)
+# 6.9 s, (2, 1443) 10.8 s, (5, 816) 7.3 s and (12, 294) 4.3 s; (30, 31)
+# costs 1.8 * 10^7 and took 4.0 s.
+WORK_BUDGET = 3 * 10**7
 
 VERIFY_MODES = ("reference", "closedform", "oracle", "dissymmetry", "stability", "all")
 
@@ -83,22 +87,24 @@ class _QueryTooLarge(Exception):
 
 def _check_budget(ks: list[int], order: int) -> None:
     """Refuse, before any solve, the solves of ``ks`` at ``order`` if their
-    summed p(k) * order^2 exceeds WORK_BUDGET.
+    summed (p(k+1) + 2 * p(k)) * order^2 * f exceeds WORK_BUDGET.
 
-    p only grows, so every k not yet reached costs at least the current p;
-    the scan stops once that lower bound is over, long before a large k.
+    The estimate only grows with k, so every k not yet reached costs at
+    least the current one; the scan stops once that lower bound is over,
+    long before a large k.
     """
     pending = sorted(ks)
-    work = 0
-    for m, p in enumerate(partition_numbers()):
-        unit = p * order * order
+    work = 0.0
+    for m, (p, p_next) in enumerate(pairwise(partition_numbers())):
+        growth = 1 + order * (m.bit_length() + 1) / 4096
+        unit = (p_next + 2 * p) * order * order * growth
         while pending and pending[0] == m:
             work += unit
             pending.pop(0)
         if work + len(pending) * unit > WORK_BUDGET:
             raise _QueryTooLarge(
-                f"query refused: its work estimate p(k)*N^2 (N = {order}, k up to"
-                f" {max(ks)}) exceeds the budget of {WORK_BUDGET}"
+                "query refused: its work estimate (p(k+1)+2p(k))*N^2*f"
+                f" (N = {order}, k up to {max(ks)}) exceeds the budget of {WORK_BUDGET}"
             )
         if not pending:
             return

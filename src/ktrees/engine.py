@@ -30,11 +30,12 @@ type lam |- k+1,
 
     B_lam = x * prod_i C_{lam^i minus one fixed point}(x^i),
 
-and when lam = mu + (1,) has a fixed color, the last factor is C_mu(x) and
-the product of the factors before it is Bbar_mu / x; that
-B_{mu+(1,)} = Bbar_mu * C_mu is also E's mu-term.  So the solve keeps one
-product chain per lam |- k+1 and reads Bbar_mu and every B_lam off it:
-each product is built once.
+and when lam = mu + (1,) has a fixed color, B_lam = Bbar_mu * C_mu, which
+is also E's mu-term.  Each factor C_nu(x^i) is an exponential whose
+log-derivative the solve keeps, so Bbar_mu / x and every B_lam / x are
+exponentials too, of the sum of their factors' log-derivatives.  C_mu,
+Bbar_mu and B_lam therefore all grow by one shared exact-division step of
+the Euler-transform recurrence, and each product is built once.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -127,17 +128,26 @@ def _powers(mu: Partition, order: int) -> list[Partition]:
     return [mu] + [by_gcd[gcd(m, period)] for m in range(1, order + 1)]
 
 
-def _coeff_times_substituted(p: list[int], c: list[int], i: int, t: int) -> int:
-    """[x^t] of p(x) * c(x^i), reading p through degree t and c through t // i.
-
-    ``c`` must hold at least t // i + 1 coefficients.
-    """
-    return sum(map(operator.mul, p[t::-i], c))
-
-
 def _not_integer(where: str, num: int, den: int) -> IntegralityError:
     g = gcd(num, den)
     return IntegralityError(f"{where}: {num // g}/{den // g} is not an integer")
+
+
+def _exp_step(g: list[int], series: list[int], shift: int, where: str) -> None:
+    """Append the next coefficient of ``series`` = x^shift * G, G = exp(L).
+
+    ``g`` is the log-derivative x L'(x) of the exponent, read through the
+    degree n = len(series) - shift of G being produced; G[0] = 1 must already
+    be in ``series``.  The Euler-transform recurrence
+    n * G[n] = sum_{j=1..n} g[j] * G[n-j] must divide exactly: a remainder
+    raises IntegralityError at ``where`` and the degree len(series).
+    """
+    d = len(series)
+    total = sum(map(operator.mul, g[1:], reversed(series)))
+    quotient, remainder = divmod(total, d - shift)
+    if remainder:
+        raise _not_integer(f"{where}, degree {d}", total, d - shift)
+    series.append(quotient)
 
 
 def solve_system(k: int, order: int) -> SeriesCache:
@@ -145,25 +155,27 @@ def solve_system(k: int, order: int) -> SeriesCache:
 
     Online solve on Python ints, one new coefficient of every series per
     degree, starting from C_mu = 1 (the bare colored root) and
-    Bbar_mu = B_lam = 0.  There is one product chain per lam |- k+1, with
-    the factors C_{lam^i minus one fixed point}(x^i) for the parts i of lam
-    in descending order; the solve keeps its partial products (first
-    factor, first two, ...) and extends each by one term per degree.  At
-    degree d:
+    Bbar_mu = B_lam = x (the bare black root).  Every series is one
+    exponential grown by :func:`_exp_step`, each from a log-derivative the
+    solve already knows:
 
-    * B_lam[d] is coefficient d-1 of the whole chain.  When lam = mu + (1,),
-      the last factor is C_mu(x) and Bbar_mu[d] is coefficient d-1 of the
-      partial product before it.  Both need C only through d-1.
-    * C_mu[d] comes from the Euler-transform recurrence of the exponential,
-      d * C[d] = sum_{j=1..d} a[j] * C[d-j] with
-      a[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m]; the division by d must be
-      exact, and a remainder raises IntegralityError naming k, mu and d.
+    * C_mu = exp(sum_m Bbar_{mu^m}(x^m) / m) has the log-derivative
+      a_mu[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m], so C_mu[d] needs
+      Bbar only through degree d.
+    * Bbar_mu / x and B_lam / x are products of factors C_nu(x^i), one per
+      part i, with nu = mu^i for Bbar_mu and nu = lam^i minus one fixed
+      point for B_lam.  Their log-derivative at degree n is the sum over
+      distinct parts i | n of (multiplicity of i) * i * a_nu[n/i], so
+      degree d+1 of Bbar and B needs C only through d.  A product of one
+      part is C_nu(x^i) itself and is read off C.
 
-    Nothing below degree d is touched again, so the result is independent
-    of the requested order (monotone truncation).  The work is
-    O(p(k+1) * k * order^2) integer multiply-adds.  The returned cache
-    holds the C_mu and Bbar_mu tables (keyed by mu |- k) and the B_lam
-    tables (keyed by lam |- k+1).
+    Every division must be exact, and a remainder raises IntegralityError
+    naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
+    degree.  Nothing below degree d is touched again, so the result is
+    independent of the requested order (monotone truncation).  The work is
+    O((p(k+1) + 2 * p(k)) * order^2) integer multiply-adds.  The returned
+    cache holds the C_mu and Bbar_mu tables (keyed by mu |- k) and the
+    B_lam tables (keyed by lam |- k+1).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -172,50 +184,49 @@ def solve_system(k: int, order: int) -> SeriesCache:
 
     mus = partitions_of(k)
     lams = partitions_of(k + 1)
-    # mu_powers[mu][m] = cycle type of pi^m for pi of type mu, m <= order.
-    mu_powers = {mu: _powers(mu, order) for mu in mus}
     divs = _divisor_table(order)
 
     c: dict[Partition, list[int]] = {mu: [1] for mu in mus}
-    bbar: dict[Partition, list[int]] = {mu: [0] for mu in mus}
-    b: dict[Partition, list[int]] = {lam: [0] for lam in lams}
+    bbar: dict[Partition, list[int]] = {mu: [0, 1][: order + 1] for mu in mus}
+    b: dict[Partition, list[int]] = {lam: [0, 1][: order + 1] for lam in lams}
     # log_deriv[mu][j] = a[j] = j * [x^j] log C_mu; entry 0 is unused.
     log_deriv: dict[Partition, list[int]] = {mu: [0] for mu in mus}
-    # Factor (C_{lam^i minus one fixed point}, i) of B_lam / x for each part
-    # i, and the partial products through each factor.  The C lists grow in
-    # place.
-    factors: dict[Partition, list[tuple[list[int], int]]] = {}
-    for lam in lams:
-        by_part = {i: c[drop_one_fixed_point(cycle_power(lam, i))] for i in set(lam)}
-        factors[lam] = [(by_part[i], i) for i in lam]
-    partials: dict[Partition, list[list[int]]] = {lam: [[] for _ in lam] for lam in lams}
+    # One (log-derivative, series, powers, label) per mu, where powers[m] is
+    # the cycle type of pi^m for pi of type mu, m <= order.
+    steps = [(log_deriv[mu], c[mu], _powers(mu, order), f"k={k}, mu={mu}") for mu in mus]
+
+    # Bbar_mu / x and B_lam / x are products with one factor C_nu(x^i) per
+    # part i, where nu = nus[lam][i] is lam^i minus one fixed point.  For
+    # Bbar_mu that is nus[mu + (1,)][i] = mu^i, over the parts of mu only.
+    nus = {
+        lam: {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
+        for lam in lams
+    }
+    products = [(bbar[mu], mu, nus[mu + (1,)], f"k={k}, Bbar, mu={mu}") for mu in mus]
+    products += [(b[lam], lam, nus[lam], f"k={k}, B, lam={lam}") for lam in lams]
+    # One-part products as (series, C_nu, i); the others as (log-derivative,
+    # series, (multiplicity * i, i, a_nu) per distinct part i, label).
+    one_part, product_steps = [], []
+    for series, parts, nu, where in products:
+        if len(parts) == 1:
+            one_part.append((series, c[nu[parts[0]]], parts[0]))
+        else:
+            terms = [(parts.count(i) * i, i, log_deriv[nu[i]]) for i in set(parts)]
+            product_steps.append(([0], series, terms, where))
 
     for d in range(1, order + 1):
-        t = d - 1
-        for lam in lams:
-            prev: list[int] | None = None
-            for (c_factor, i), partial in zip(factors[lam], partials[lam]):
-                if prev is None:
-                    partial.append(0 if t % i else c_factor[t // i])
-                else:
-                    partial.append(_coeff_times_substituted(prev, c_factor, i, t))
-                prev = partial
-            b[lam].append(prev[t])
-        for mu in mus:
-            bbar[mu].append(partials[mu + (1,)][-2][t])
-
-        for mu in mus:
+        for a, c_mu, powers, where in steps:
             # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
             # only through divisors m of d, since Bbar has no constant term.
-            powers = mu_powers[mu]
-            a = log_deriv[mu]
             a.append(sum((d // m) * bbar[powers[m]][d // m] for m in divs[d]))
-            c_mu = c[mu]
-            total = sum(map(operator.mul, a[1:], reversed(c_mu)))
-            quotient, remainder = divmod(total, d)
-            if remainder:
-                raise _not_integer(f"k={k}, mu={mu}, degree {d}", total, d)
-            c_mu.append(quotient)
+            _exp_step(a, c_mu, 0, where)
+        if d < order:
+            # Degree d+1 of Bbar and B is degree d of a product of C factors.
+            for series, c_nu, i in one_part:
+                series.append(0 if d % i else c_nu[d // i])
+            for g, series, terms, where in product_steps:
+                g.append(sum(w * a_nu[d // i] for w, i, a_nu in terms if d % i == 0))
+                _exp_step(g, series, 1, where)
 
     return SeriesCache(k=k, order=order, c=c, bbar=bbar, b=b)
 
@@ -239,8 +250,8 @@ def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
 
     ``lam`` must be a partition of k+1, in any order; lam^i always has a
     fixed point when i is a part of lam, so no factor here is the zero
-    series.  This is the solve's product chain for lam, read off
-    ``cache.b``; for lam = mu + (1,) it equals Bbar_mu * C_mu.
+    series.  This is the solve's B_lam, read off ``cache.b``; for
+    lam = mu + (1,) it equals Bbar_mu * C_mu.
     """
     return Series(cache.order, cache.b[_checked_type(cache, lam)])
 
@@ -283,7 +294,7 @@ def compute_E(cache: SeriesCache) -> Series:
 
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
     tree and a reduced black-rooted tree, independently fixed.  Their
-    product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's chain for
+    product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's table for
     mu + (1,).
     """
     return _orbit_average(cache, "E", cache.k, lambda mu: cache.b[mu + (1,)])

@@ -1,0 +1,17 @@
+"""Shared fixtures."""
+
+from functools import cache
+
+import pytest
+
+from ktrees.oracle import fixed_count
+
+
+@pytest.fixture(scope="session")
+def fixed_counts():
+    """The oracle's ``fixed_count(k, n, pi)``, computed once per (k, n, pi).
+
+    Several tests sweep every permutation of k = 3 for n <= 6; each sweep
+    recolors every coding tree, so the session shares one.
+    """
+    return cache(fixed_count)

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, verify wiring."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,6 +84,31 @@ def test_count_large_k_is_the_stable_row(capsys):
     code, out, _ = run_cli(capsys, "count", "--k", "100", "--terms", "10", "--format", "csv")
     assert code == 0
     assert out == ",".join(str(c) for c in cli.STABLE_ROW) + "\n"
+
+
+# SHA-256 of the full stdout, far past the 10-term reference tables: the
+# benchmark's deep and wide outputs, and a row with p(12) = 77 cycle types.
+PINNED_OUTPUTS = [
+    (
+        ("count", "--k", "5", "--terms", "81"),
+        "123186e580ceba576d1a4d6b022316a18b7b4e8cdec1eb93011fd89605171dd8",
+    ),
+    (
+        ("stable", "--terms", "17"),
+        "3884273ae5e29aa1ad7f7491e3dcddb514c23b24f8baf7c5e62c40fe8dd21022",
+    ),
+    (
+        ("count", "--k", "12", "--terms", "41"),
+        "3b291f6a201ac5ab8abe452830e26317f2881c35af98f1725c89af4716026590",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_output_is_byte_identical_to_pinned_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
@@ -182,10 +208,11 @@ def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
 
 
 def test_work_budget_edge():
-    # p(1) * N^2 with N = 3162 is just under 10^7, N = 3163 just over.
-    cli._check_budget([1], 3162)
+    # At k = 1 the estimate is 4 * N^2 * (1 + 2N / 4096): N = 1958 is just
+    # under 3 * 10^7, N = 1959 just over.
+    cli._check_budget([1], 1958)
     with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget([1], 3163)
+        cli._check_budget([1], 1959)
     # A table's estimate sums its solves: p(30) * 31^2 alone fits the
     # budget, (p(1) + ... + p(30)) * 31^2 does not.
     cli._check_budget([30], 31)

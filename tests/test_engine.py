@@ -83,7 +83,7 @@ def test_degree_zero_tables():
         for mu in partitions_of(k):
             assert integer_coeffs(cache.c_table[mu]) == [1]
             assert integer_coeffs(cache.bbar_table[mu]) == [0]
-        # Every B_lam chain, fixed-point-free ones included: nothing at
+        # Every B_lam table, fixed-point-free ones included: nothing at
         # order 0, and at order 1 the lone black vertex every permutation fixes.
         cache1 = solve_system(k, 1)
         for lam in partitions_of(k + 1):
@@ -343,3 +343,17 @@ def test_integrality_failure_names_k_type_and_degree(monkeypatch):
     located = r"^k=2, mu=\(2,\), degree 2: 1/2 is not an integer$"
     with pytest.raises(IntegralityError, match=located):
         solve_system(2, 5)
+
+
+def test_exp_step_refuses_a_non_integral_exponential():
+    # g = [0, 1] is the log-derivative of exp(x) = 1 + x + x^2/2 + ...: the
+    # shared step produces 1, 1 and must refuse 1/2 at degree 2, naming the
+    # series.  Shifted by x (as Bbar and B are), the same remainder is at x^3.
+    series = [1]
+    engine._exp_step([0, 1], series, 0, "k=1, mu=(1,)")
+    assert series == [1, 1]
+    with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 2: 1/2 is not"):
+        engine._exp_step([0, 1, 0], series, 0, "k=1, mu=(1,)")
+    with pytest.raises(IntegralityError, match=r"^k=1, B, lam=\(1, 1\), degree 3: 1/2 is"):
+        engine._exp_step([0, 1, 0], [0, 1, 1], 1, "k=1, B, lam=(1, 1)")
+    assert series == [1, 1]

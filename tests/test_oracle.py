@@ -129,10 +129,10 @@ def test_orbits_match_engine(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_burnside_identity(k):
+def test_burnside_identity(k, fixed_counts):
     perms = list(permutations(range(1, k + 2)))
     for n in range(MAX_N + 1):
-        total = sum(fixed_count(k, n, pi) for pi in perms)
+        total = sum(fixed_counts(k, n, pi) for pi in perms)
         assert total == orbit_count(k, n) * factorial(k + 1), (k, n)
 
 
@@ -150,14 +150,14 @@ def test_fixed_count_depends_only_on_cycle_type(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_fixed_counts_match_engine_per_type(k):
+def test_fixed_counts_match_engine_per_type(k, fixed_counts):
     # Strongest cross-check: every cycle type, every size, engine == brute force.
     cache = solve_system(k, MAX_N)
     for pi in permutations(range(1, k + 2)):
         lam = permutation_cycle_type(pi)
         engine_fixed = count_fixed_by_type(cache, lam)
         for n in range(MAX_N + 1):
-            assert fixed_count(k, n, pi) == engine_fixed[n], (k, n, pi)
+            assert fixed_counts(k, n, pi) == engine_fixed[n], (k, n, pi)
 
 
 def test_scale_limits_refused():
