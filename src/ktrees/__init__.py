@@ -19,7 +19,6 @@ from .engine import (
     ResultBundle,
     SeriesCache,
     compute_B,
-    compute_B_lambda,
     compute_C,
     compute_E,
     count_fixed_by_type,
@@ -65,7 +64,6 @@ __all__ = [
     "SeriesCache",
     "add",
     "compute_B",
-    "compute_B_lambda",
     "compute_C",
     "compute_E",
     "count_fixed_by_type",

@@ -28,7 +28,7 @@ from math import factorial
 from typing import Callable, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
-from .engine import count_ktrees, solve_system, stable_counts
+from .engine import _stable_k, count_ktrees, solve_system, stable_counts
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
 from .series import IntegralityError, integer_coeffs
@@ -55,30 +55,23 @@ STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
 # costs 1.8 * 10^7 and took 4.0 s.
 WORK_BUDGET = 3 * 10**7
 
-VERIFY_MODES = ("reference", "closedform", "oracle", "dissymmetry", "stability", "all")
-
 # One verification check: (name, passed, detail-for-failures)
 Check = tuple[str, bool, str]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 class _QueryTooLarge(Exception):
@@ -153,10 +146,10 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 
 
 # U_k[n] is constant for k >= n-1, so count and table serve a larger k from
-# k = max(order-1, 1); the engine cannot clamp, as B, C and E still vary.
+# k = _stable_k(order); the engine cannot clamp, as B, C and E still vary.
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     order = args.terms - 1
-    k = min(args.k, max(order - 1, 1))
+    k = min(args.k, _stable_k(order))
     _check_budget([k], order)
     counts = count_ktrees(k, order).U
     _print_counts(args.k, counts, args.format, out)
@@ -164,7 +157,7 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
-    cap = max(args.max_n - 1, 1)
+    cap = _stable_k(args.max_n)
     ks = list(range(1, min(args.max_k, cap) + 1))
     if args.stable and cap > args.max_k:
         ks.append(cap)  # the stable row is the k = cap row
@@ -181,7 +174,7 @@ def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
     order = args.terms - 1
-    _check_budget([max(order - 1, 1)], order)
+    _check_budget([_stable_k(order)], order)
     counts = stable_counts(order)
     _print_counts("stable", counts, args.format, out)
     return 0
@@ -344,26 +337,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print counts for one k")
-    p_count.add_argument("--k", type=_positive_int, required=True, help="k-tree parameter")
-    p_count.add_argument("--terms", type=_positive_int, default=10,
+    p_count.add_argument("--k", type=_int_at_least(1), required=True, help="k-tree parameter")
+    p_count.add_argument("--terms", type=_int_at_least(1), default=10,
                          help="number of coefficients (n = 0..terms-1)")
     p_count.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_count.set_defaults(func=_cmd_count)
 
     p_table = sub.add_parser("table", help="print the counts grid for k = 1..max-k")
-    p_table.add_argument("--max-k", type=_positive_int, required=True)
-    p_table.add_argument("--max-n", type=_nonnegative_int, required=True)
+    p_table.add_argument("--max-k", type=_int_at_least(1), required=True)
+    p_table.add_argument("--max-n", type=_int_at_least(0), required=True)
     p_table.add_argument("--stable", action="store_true", help="append the stable row")
     p_table.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_table.set_defaults(func=_cmd_table)
 
     p_stable = sub.add_parser("stable", help="print the k-independent tail values")
-    p_stable.add_argument("--terms", type=_positive_int, default=10)
+    p_stable.add_argument("--terms", type=_int_at_least(1), default=10)
     p_stable.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_stable.set_defaults(func=_cmd_stable)
 
     p_verify = sub.add_parser("verify", help="run consistency suites")
-    p_verify.add_argument("--mode", choices=VERIFY_MODES, default="all")
+    p_verify.add_argument("--mode", choices=(*_SUITES, "all"), default="all")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -44,7 +44,9 @@ coefficient counts the trees fixed by one permutation, so the solve and the
 aggregation run on Python ints: each division (by the degree in the
 exponential recurrence, by the group order in the orbit averages) must be
 exact, and a remainder raises ``IntegralityError`` at the coefficient that
-produced it.
+produced it.  The results (the B, C, E aggregates, the per-type fixed counts
+and every row of :func:`count_ktrees`) are plain lists of ints; the rational
+:class:`Series` appears only in the ``c_table`` / ``bbar_table`` views.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, gcd, lcm
-from typing import Callable
+from math import gcd, lcm
 
 from .partitions import (
     Partition,
@@ -62,7 +63,7 @@ from .partitions import (
     partitions_of,
     permutation_count,
 )
-from .series import IntegralityError, Series, integer_coeffs
+from .series import IntegralityError, Series
 
 
 @dataclass
@@ -73,7 +74,9 @@ class SeriesCache:
     partitions mu of k; ``b`` holds B_lam, keyed by exactly the partitions
     lam of k+1.  After :func:`solve_system` every table has order + 1
     coefficients, all correct.  ``c_table`` and ``bbar_table`` are the same
-    C_mu and Bbar_mu as :class:`Series`, built on first read.
+    C_mu and Bbar_mu as :class:`Series`, built on first read, for the readers
+    on the rational route: ``threetree_U`` and ``fourtree_U``, the 2-tree
+    pair check of ``verify``, and the benchmark's trace.
     """
 
     k: int
@@ -231,65 +234,43 @@ def solve_system(k: int, order: int) -> SeriesCache:
     return SeriesCache(k=k, order=order, c=c, bbar=bbar, b=b)
 
 
-def _checked_type(cache: SeriesCache, lam: Partition) -> Partition:
-    lam = tuple(sorted(lam, reverse=True))
-    if lam not in cache.b:
-        raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
-    return lam
-
-
-def compute_B_lambda(cache: SeriesCache, lam: Partition) -> Series:
-    """Black-rooted coding trees fixed by a permutation of cycle type ``lam``.
-
-    The black root has one neighbor of each color; each color cycle of
-    length i contributes one factor C_{lam^i}(x^i) (choose the subtree on
-    one color of the cycle, the i-th power must fix it), and the root
-    itself contributes the leading x:
-
-        B_lam = x * prod_i C_{lam^i}(x^i).
-
-    ``lam`` must be a partition of k+1, in any order; lam^i always has a
-    fixed point when i is a part of lam, so no factor here is the zero
-    series.  This is the solve's B_lam, read off ``cache.b``; for
-    lam = mu + (1,) it equals Bbar_mu * C_mu.
-    """
-    return Series(cache.order, cache.b[_checked_type(cache, lam)])
-
-
 def _orbit_average(
-    cache: SeriesCache, name: str, size: int, fixed: Callable[[Partition], list[int]]
-) -> Series:
-    """Burnside average over S_size of the series ``fixed(lam)``, lam |- size.
+    cache: SeriesCache, name: str, fixed: dict[Partition, list[int]]
+) -> list[int]:
+    """Burnside average of the per-type series ``fixed``, keyed by exactly
+    the cycle types of one symmetric group.
 
     Kept in integers: each type is weighted by its number of permutations
-    size!/z_lam, and the one division by size! per coefficient must be exact.
+    size!/z_lam, the weights add up to the group order size!, and the one
+    division by it per coefficient must be exact.
     """
     total = [0] * (cache.order + 1)
-    for lam in partitions_of(size):
+    group = 0
+    for lam, coeffs in fixed.items():
         weight = permutation_count(lam)
-        for n, coeff in enumerate(fixed(lam)):
+        group += weight
+        for n, coeff in enumerate(coeffs):
             total[n] += weight * coeff
-    group = factorial(size)
     out = []
     for n, num in enumerate(total):
         quotient, remainder = divmod(num, group)
         if remainder:
             raise _not_integer(f"k={cache.k}, {name}, degree {n}", num, group)
         out.append(quotient)
-    return Series(cache.order, out)
+    return out
 
 
-def compute_B(cache: SeriesCache) -> Series:
+def compute_B(cache: SeriesCache) -> list[int]:
     """Color-orbits of black-rooted trees: average of B_lam weighted by 1/z_lam."""
-    return _orbit_average(cache, "B", cache.k + 1, cache.b.__getitem__)
+    return _orbit_average(cache, "B", cache.b)
 
 
-def compute_C(cache: SeriesCache) -> Series:
+def compute_C(cache: SeriesCache) -> list[int]:
     """Color-orbits of colored-rooted trees: average of C_mu weighted by 1/z_mu."""
-    return _orbit_average(cache, "C", cache.k, cache.c.__getitem__)
+    return _orbit_average(cache, "C", cache.c)
 
 
-def compute_E(cache: SeriesCache) -> Series:
+def compute_E(cache: SeriesCache) -> list[int]:
     """Color-orbits of edge-rooted trees: average of Bbar_mu*C_mu by 1/z_mu.
 
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
@@ -297,7 +278,7 @@ def compute_E(cache: SeriesCache) -> Series:
     product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's table for
     mu + (1,).
     """
-    return _orbit_average(cache, "E", cache.k, lambda mu: cache.b[mu + (1,)])
+    return _orbit_average(cache, "E", {mu: cache.b[mu + (1,)] for mu in cache.c})
 
 
 def count_ktrees(k: int, order: int) -> ResultBundle:
@@ -308,9 +289,7 @@ def count_ktrees(k: int, order: int) -> ResultBundle:
     exact; a failure raises IntegralityError and means an engine bug.
     """
     cache = solve_system(k, order)
-    b = integer_coeffs(compute_B(cache))
-    c = integer_coeffs(compute_C(cache))
-    e = integer_coeffs(compute_E(cache))
+    b, c, e = compute_B(cache), compute_C(cache), compute_E(cache)
     u = [bn + cn - en for bn, cn, en in zip(b, c, e)]
     for n, count in enumerate(u):
         if count < 0:
@@ -328,13 +307,29 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     B_lam from ``cache.b``; with a fixed color, lam = mu + (1,) and the edge
     term Bbar_mu * C_mu is that same B_lam.
     """
-    lam = _checked_type(cache, lam)
+    lam = tuple(sorted(lam, reverse=True))
+    if lam not in cache.b:
+        raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
     b_lam = cache.b[lam]
     mu = drop_one_fixed_point(lam)
     if mu is None:
         return list(b_lam)
     fixed_colors = lam.count(1)
     return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[mu])]
+
+
+# Private: the benchmark's tracer (perfbench/spans.py) reads the result of
+# every public engine function as a row of counts.
+def _stable_k(order: int) -> int:
+    """The least k whose counts of 0..order hedra all lie in the stable range.
+
+    U_k[n] is constant for k >= n-1 (see :func:`stable_counts`), and k >= 1;
+    the CLI serves every larger k from this one.
+
+    >>> [_stable_k(n) for n in range(5)]
+    [1, 1, 1, 2, 3]
+    """
+    return max(order - 1, 1)
 
 
 def stable_counts(order: int) -> list[int]:
@@ -348,4 +343,4 @@ def stable_counts(order: int) -> list[int]:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return count_ktrees(max(order - 1, 1), order).U
+    return count_ktrees(_stable_k(order), order).U

@@ -4,7 +4,10 @@ A :class:`Series` is a dense coefficient vector for a power series in one
 variable ``x``, computed and trusted only through an explicit truncation
 order ``N`` (inclusive).  Coefficients are ``fractions.Fraction`` values,
 so all arithmetic is exact; final counting results are integers and are
-extracted through the checked conversion :func:`integer_coeffs`.
+extracted through the checked conversion :func:`integer_coeffs`.  This is
+the rational route's type: the closed forms and the tests' reference solve
+use it, while the engine solves and averages on Python ints.  Each operation
+has one spelling, a function (:func:`add`, :func:`mul`, :func:`scale`, ...).
 
 Binary operations require both operands to carry the same truncation
 order.  Mixing orders is a programming error, not something to coerce
@@ -25,10 +28,13 @@ _F1 = Fraction(1)
 
 
 class IntegralityError(ValueError):
-    """A coefficient expected to be an integer has a denominator != 1.
+    """A coefficient expected to be an integer is not one.
 
-    This signals a bug in the calling computation (counting series must
-    have integer coefficients), never bad user input.
+    Raised by :func:`integer_coeffs` for a denominator != 1, and by the
+    engine's exact divisions (the exponential recurrence, the orbit
+    averages) for a remainder, naming where it happened.  Either signals a
+    bug in the calling computation (counting series must have integer
+    coefficients), never bad user input.
     """
 
 
@@ -56,9 +62,6 @@ class Series:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
     def __repr__(self) -> str:
         terms = []
         for d, c in enumerate(self.coeffs):
@@ -66,24 +69,6 @@ class Series:
                 terms.append(f"{c}*x^{d}" if d else f"{c}")
         body = " + ".join(terms) if terms else "0"
         return f"Series(order={self.order}: {body})"
-
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return add(self, scale(other, -_F1))
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return scale(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __getitem__(self, d: int) -> Coefficient:
-        return self.coeffs[d]
 
 
 def zero(order: int) -> Series:

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial
 
 import pytest
 
 from ktrees import engine
 from ktrees.engine import (
     compute_B,
-    compute_B_lambda,
     compute_C,
     compute_E,
     count_fixed_by_type,
@@ -16,9 +16,16 @@ from ktrees.engine import (
     solve_system,
     stable_counts,
 )
-from ktrees.partitions import cycle_power, drop_one_fixed_point, partitions_of, z_of
+from ktrees.partitions import (
+    cycle_power,
+    drop_one_fixed_point,
+    partitions_of,
+    permutation_count,
+    z_of,
+)
 from ktrees.series import (
     IntegralityError,
+    Series,
     add,
     exp_series,
     integer_coeffs,
@@ -87,8 +94,8 @@ def test_degree_zero_tables():
         # order 0, and at order 1 the lone black vertex every permutation fixes.
         cache1 = solve_system(k, 1)
         for lam in partitions_of(k + 1):
-            assert integer_coeffs(compute_B_lambda(cache, lam)) == [0], (k, lam)
-            assert integer_coeffs(compute_B_lambda(cache1, lam)) == [0, 1], (k, lam)
+            assert cache.b[lam] == [0], (k, lam)
+            assert cache1.b[lam] == [0, 1], (k, lam)
 
 
 def test_reduced_blackrooted_linear_term_is_one():
@@ -99,23 +106,23 @@ def test_reduced_blackrooted_linear_term_is_one():
 
 def test_black_rooted_single_edge_tree():
     cache = solve_system(1, 3)
-    assert compute_B_lambda(cache, (1, 1)).coeffs[1] == 1
+    assert cache.b[(1, 1)][1] == 1
 
 
 def test_black_rooted_under_color_swap():
     # For the 2-cycle type, B = x*R(x^2) with R the rooted-tree series:
     # coefficient 0 at x^2, and at x^3 it is R[1] = 1.
     cache = solve_system(1, 4)
-    b2 = compute_B_lambda(cache, (2,))
-    assert b2.coeffs[2] == 0
-    assert b2.coeffs[3] == ROOTED_TREE_COUNTS[1] == 1
+    b2 = cache.b[(2,)]
+    assert b2[2] == 0
+    assert b2[3] == ROOTED_TREE_COUNTS[1] == 1
 
 
 def test_black_rooted_three_cycle_structure():
     # For k=2 and the 3-cycle type, the product collapses to x*C_{1,1}(x^3).
     cache = solve_system(2, 9)
     expected = resized(times_x(substitute_power(resized(cache.c_table[(1, 1)], 8), 3)), 9)
-    assert compute_B_lambda(cache, (3,)) == expected
+    assert Series(cache.order, cache.b[(3,)]) == expected
 
 
 def test_B_lambda_matches_substituted_product():
@@ -130,7 +137,7 @@ def test_B_lambda_matches_substituted_product():
                 )
                 for i in lam
             ]
-            assert compute_B_lambda(cache, lam) == times_x(reduce(mul, factors)), (k, lam)
+            assert Series(cache.order, cache.b[lam]) == times_x(reduce(mul, factors)), (k, lam)
 
 
 def test_black_aggregate_identity_k1():
@@ -141,42 +148,42 @@ def test_black_aggregate_identity_k1():
         resized(times_x(add(mul(r, r), substitute_power(r, 2))), 12),
         Fraction(1, 2),
     )
-    assert compute_B(cache) == expected
+    assert compute_B(cache) == integer_coeffs(expected)
 
 
 def test_aggregate_corner_coefficients():
     for k in range(1, 6):
         cache = solve_system(k, 2)
-        assert compute_B(cache).coeffs[0] == 0  # a black rooting needs a black vertex
-        assert compute_C(cache).coeffs[0] == 1  # the bare colored root
-        assert compute_E(cache).coeffs[0] == 0  # an edge rooting needs a black vertex
+        assert compute_B(cache)[0] == 0  # a black rooting needs a black vertex
+        assert compute_C(cache)[0] == 1  # the bare colored root
+        assert compute_E(cache)[0] == 0  # an edge rooting needs a black vertex
 
 
 def test_black_aggregate_linear_term_k2():
     # One 2-tree with one hedron (a single triangle), one hedron rooting.
     cache = solve_system(2, 3)
-    assert compute_B(cache).coeffs[1] == 1
+    assert compute_B(cache)[1] == 1
 
 
 def test_colored_aggregate_identities():
     cache1 = solve_system(1, 10)
-    assert compute_C(cache1) == cache1.c_table[(1,)]
+    assert compute_C(cache1) == integer_coeffs(cache1.c_table[(1,)])
     cache2 = solve_system(2, 10)
     expected = scale(add(cache2.c_table[(1, 1)], cache2.c_table[(2,)]), Fraction(1, 2))
-    assert compute_C(cache2) == expected
+    assert compute_C(cache2) == integer_coeffs(expected)
 
 
 def test_edge_aggregate_identities():
     cache1 = solve_system(1, 10)
     r = cache1.c_table[(1,)]
-    assert compute_E(cache1) == resized(times_x(mul(r, r)), 10)
+    assert compute_E(cache1) == integer_coeffs(resized(times_x(mul(r, r)), 10))
 
     cache2 = solve_system(2, 10)
     c11, c2 = cache2.c_table[(1, 1)], cache2.c_table[(2,)]
     cubed = mul(mul(c11, c11), c11)
     pair = mul(substitute_power(c11, 2), c2)
     expected = scale(resized(times_x(add(cubed, pair)), 10), Fraction(1, 2))
-    assert compute_E(cache2) == expected
+    assert compute_E(cache2) == integer_coeffs(expected)
 
 
 def test_count_ktrees_reference_rows():
@@ -192,11 +199,50 @@ def test_dissymmetry_bundle_consistency():
         assert bundle.U[n] >= 0
 
 
+def test_engine_results_are_plain_int_lists():
+    # The aggregates and the per-type fixed counts are the rows count_ktrees
+    # returns, as lists of Python ints; averaged over S_{k+1} by Burnside's
+    # lemma the fixed counts give U.
+    order = 12
+    for k in range(1, 6):
+        cache = solve_system(k, order)
+        bundle = count_ktrees(k, order)
+        for got, want in (
+            (compute_B(cache), bundle.B),
+            (compute_C(cache), bundle.C),
+            (compute_E(cache), bundle.E),
+        ):
+            assert type(got) is list and all(type(x) is int for x in got), k
+            assert got == want, k
+        total = [0] * (order + 1)
+        for lam in partitions_of(k + 1):
+            fixed = count_fixed_by_type(cache, lam)
+            assert type(fixed) is list and all(type(x) is int for x in fixed), (k, lam)
+            for n, count in enumerate(fixed):
+                total[n] += count * permutation_count(lam)
+        assert [t // factorial(k + 1) for t in total] == bundle.U, k
+        assert all(t % factorial(k + 1) == 0 for t in total), k
+
+
+def test_counts_need_no_series(monkeypatch):
+    # The engine builds a Series only for the c_table / bbar_table views.
+    bundle, stable = count_ktrees(5, 40), stable_counts(17)
+
+    def no_series(*args):
+        raise AssertionError("the engine built a Series")
+
+    monkeypatch.setattr(engine, "Series", no_series)
+    assert count_ktrees(5, 40) == bundle
+    assert stable_counts(17) == stable
+    assert bundle.U[:10] == [1, 1, 1, 2, 5, 15, 64, 342, 2321, 18578]
+    assert stable[:10] == [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
+
+
 def test_individual_weighted_terms_are_rational():
     # The z-weighted pieces of B are genuinely non-integral; only the
     # aggregates are integer-valued.
     cache = solve_system(1, 3)
-    weighted = scale(compute_B_lambda(cache, (1, 1)), Fraction(1, z_of((1, 1))))
+    weighted = scale(Series(cache.order, cache.b[(1, 1)]), Fraction(1, z_of((1, 1))))
     assert weighted.coeffs[1] == Fraction(1, 2)
 
 
@@ -236,7 +282,7 @@ def test_count_fixed_identity_type_vs_tables():
     # The identity type fixes everything: matches B + (k+1)(C - E) per type.
     cache = solve_system(2, 6)
     fixed = count_fixed_by_type(cache, (1, 1, 1))
-    b = compute_B_lambda(cache, (1, 1, 1))
+    b = Series(cache.order, cache.b[(1, 1, 1)])
     c = cache.c_table[(1, 1)]
     e = mul(cache.bbar_table[(1, 1)], c)
     expected = integer_coeffs(add(b, scale(add(c, scale(e, -1)), 3)))
@@ -246,17 +292,12 @@ def test_count_fixed_identity_type_vs_tables():
 def test_wrong_partition_size_rejected():
     cache = solve_system(2, 4)
     with pytest.raises(ValueError, match="partition of 3"):
-        compute_B_lambda(cache, (2,))
-    with pytest.raises(ValueError, match="partition of 3"):
         count_fixed_by_type(cache, (4,))
     # Sums to 3 but has a part below 1: not a cycle type.
     for malformed in [(3, 0), (4, -1)]:
         with pytest.raises(ValueError, match="partition of 3"):
-            compute_B_lambda(cache, malformed)
-        with pytest.raises(ValueError, match="partition of 3"):
             count_fixed_by_type(cache, malformed)
     # Parts in any order name the same type.
-    assert compute_B_lambda(cache, (1, 2)) == compute_B_lambda(cache, (2, 1))
     assert count_fixed_by_type(cache, (1, 2)) == count_fixed_by_type(cache, (2, 1))
 
 

@@ -186,14 +186,6 @@ def test_mul_commutes_and_associates():
         assert mul(mul(f, g), h) == mul(f, mul(g, h))
 
 
-def test_operator_sugar_matches_functions():
-    f, g = S(1, 2, 3), S(0, 1, 1)
-    assert f + g == add(f, g)
-    assert f * g == mul(f, g)
-    assert f - g == add(f, scale(g, -1))
-    assert 2 * f == scale(f, 2)
-
-
 # ---------------------------------------------------------------- helpers
 
 
