@@ -241,21 +241,22 @@ def _verify_oracle() -> list[Check]:
         perms = list(permutations(range(1, k + 2)))
         orbit_ok = True
         burnside_ok = True
-        detail = ""
+        orbit_detail = ""
+        burnside_detail = ""
         for n in range(MAX_N + 1):
             orbits = orbit_count(k, n)
             if orbits != engine_u[n]:
                 orbit_ok = False
-                detail = f"n={n}: oracle {orbits} vs engine {engine_u[n]}"
+                orbit_detail = f"n={n}: oracle {orbits} vs engine {engine_u[n]}"
             fixed_total = sum(fixed_count(k, n, pi) for pi in perms)
             if fixed_total != orbits * factorial(k + 1):
                 burnside_ok = False
-                detail = f"n={n}: sum fix = {fixed_total}, orbits = {orbits}"
+                burnside_detail = f"n={n}: sum fix = {fixed_total}, orbits = {orbits}"
         checks.append(
-            (f"oracle: orbit counts == engine for k={k}, n<={MAX_N}", orbit_ok, detail)
+            (f"oracle: orbit counts == engine for k={k}, n<={MAX_N}", orbit_ok, orbit_detail)
         )
         checks.append(
-            (f"oracle: Burnside identity for k={k}, n<={MAX_N}", burnside_ok, detail)
+            (f"oracle: Burnside identity for k={k}, n<={MAX_N}", burnside_ok, burnside_detail)
         )
     return checks
 

@@ -54,11 +54,13 @@ def rooted_trees(order: int) -> Series:
 
     Solves R = exp(sum_m x^m R(x^m)/m): deleting the root leaves a multiset
     of edge-attached rooted subtrees.  Degree d of the argument only needs R
-    through d-1, so ``order`` passes reach the exact fixed point.
+    through d-1, so each pass makes one more coefficient exact: starting
+    from R = 1 at order 0, pass i runs at order i and ``order`` passes
+    reach the exact fixed point.
     """
-    r = one(order)
+    r = one(0)
     for _ in range(order):
-        r = exp_series(_sum_of_power_substitutions(_x_times(r)))
+        r = exp_series(_sum_of_power_substitutions(times_x(r)))
     return r
 
 
@@ -81,10 +83,11 @@ def twotree_rooted_series(order: int) -> tuple[Series, Series]:
     D = exp(sum_m (x^m/m) D(x^m)^2); S counts directed-edge rootings fixed
     by the edge flip, via the odd/even split
     S = exp(sum_{m odd} (x^m/m) D(x^{2m}) + sum_{m even} (x^m/m) D(x^m)^2).
+    D is solved like :func:`rooted_trees`: pass i runs at order i.
     """
-    d = one(order)
+    d = one(0)
     for _ in range(order):
-        d = exp_series(_sum_of_power_substitutions(_x_times(mul(d, d))))
+        d = exp_series(_sum_of_power_substitutions(times_x(mul(d, d))))
 
     flip_term = _x_times(substitute_power(d, 2))  # x*D(x^2)
     plain_term = _x_times(mul(d, d))  # x*D(x)^2

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ktrees import cli, engine
+from ktrees import cli, engine, oracle
 from ktrees.engine import count_ktrees
 from ktrees.series import IntegralityError
 
@@ -87,7 +87,8 @@ def test_count_large_k_is_the_stable_row(capsys):
 
 
 # SHA-256 of the full stdout, far past the 10-term reference tables: the
-# benchmark's deep and wide outputs, and a row with p(12) = 77 cycle types.
+# benchmark's deep, wide and verify outputs, and a row with p(12) = 77
+# cycle types.
 PINNED_OUTPUTS = [
     (
         ("count", "--k", "5", "--terms", "81"),
@@ -100,6 +101,10 @@ PINNED_OUTPUTS = [
     (
         ("count", "--k", "12", "--terms", "41"),
         "3b291f6a201ac5ab8abe452830e26317f2881c35af98f1725c89af4716026590",
+    ),
+    (
+        ("verify", "--mode", "all"),
+        "099d6677a4dac70c98e5a9daec73b3cefefac35137f005e646fefa59b37b2d49",
     ),
 ]
 
@@ -147,6 +152,20 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--mode", "reference")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_oracle_failures_each_name_their_own_detail(capsys, monkeypatch):
+    def shifted(k, n):
+        return oracle.orbit_count(k, n) + (k == 2 and n == 4)
+
+    monkeypatch.setattr(cli, "orbit_count", shifted)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "oracle")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        "FAIL oracle: orbit counts == engine for k=2, n<=6 [n=4: oracle 6 vs engine 5]",
+        "FAIL oracle: Burnside identity for k=2, n<=6 [n=4: sum fix = 30, orbits = 6]",
+    ]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,7 @@ from ktrees.closedforms import (
     twotree_rooted_series,
 )
 from ktrees.engine import count_ktrees, solve_system
-from ktrees.series import integer_coeffs
+from ktrees.series import integer_coeffs, resized
 
 
 def test_otter_reference_row():
@@ -21,8 +21,18 @@ def test_otter_constant_term():
 
 
 def test_rooted_trees_head():
-    # Vertex-rooted unlabeled trees by edges: 1, 1, 2, 4, 9, 20.
-    assert integer_coeffs(rooted_trees(5)) == [1, 1, 2, 4, 9, 20]
+    # Vertex-rooted unlabeled trees by edges (A000081).  The fixed point
+    # grows one order per pass from order 0, so every requested order,
+    # 0 and 1 included, must end on the exact head.
+    head = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
+    for n in range(13):
+        assert integer_coeffs(rooted_trees(n)) == head[: n + 1], n
+
+
+def test_twotree_rooted_series_every_order_through_12():
+    d12, s12 = twotree_rooted_series(12)
+    for n in range(13):
+        assert twotree_rooted_series(n) == (resized(d12, n), resized(s12, n)), n
 
 
 def test_twotree_reference_row():
