@@ -14,7 +14,7 @@ correspond to OEIS A000055, A054581, A078792, A078793, A201702 and A224917
 embedded so every check runs offline and byte-for-byte reproducibly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a query
-over the work budget, 3 internal integrality violation (an engine bug,
+over the work budget, 3 a non-integer or negative count (an engine bug,
 never bad input).
 """
 
@@ -222,16 +222,29 @@ def _verify_closedform(order: int = 30) -> list[Check]:
         checks.append(
             (f"closedform: {name} == engine through order {order}",
              closed == eng,
-             f"first difference at n={next((i for i, (a, b) in enumerate(zip(closed, eng)) if a != b), -1)}")
+             f"first difference at n={_first_difference(closed, eng)}")
         )
     d, s = twotree_rooted_series(order)
     cache = solve_system(2, order)
+    pair_details = [
+        f"{label} differs at degree {_first_difference(closed.coeffs, eng.coeffs)}"
+        for label, closed, eng in (
+            ("D", d, cache.c_table[(1, 1)]),
+            ("S", s, cache.c_table[(2,)]),
+        )
+        if closed != eng
+    ]
     checks.append(
         (f"closedform: 2-tree rooted pair == engine per-type series through order {order}",
-         d == cache.c_table[(1, 1)] and s == cache.c_table[(2,)],
-         "")
+         not pair_details,
+         "; ".join(pair_details))
     )
     return checks
+
+
+def _first_difference(a: Sequence, b: Sequence) -> int:
+    """The first index where ``a`` and ``b`` differ, or -1 if none does."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), -1)
 
 
 def _verify_oracle() -> list[Check]:
@@ -265,13 +278,12 @@ def _verify_dissymmetry(max_k: int = 6, order: int = 40) -> list[Check]:
     checks: list[Check] = []
     for k in range(1, max_k + 1):
         try:
-            bundle = count_ktrees(k, order)  # raises if any series non-integral
-        except IntegralityError as exc:
+            bundle = count_ktrees(k, order)  # raises on a non-integer or negative count
+        except (IntegralityError, ArithmeticError) as exc:
             checks.append((f"dissymmetry: U = B + C - E for k={k}, N={order}", False, str(exc)))
             continue
         ok = all(
-            bundle.U[n] == bundle.B[n] + bundle.C[n] - bundle.E[n] and bundle.U[n] >= 0
-            for n in range(order + 1)
+            bundle.U[n] == bundle.B[n] + bundle.C[n] - bundle.E[n] for n in range(order + 1)
         )
         checks.append((f"dissymmetry: U = B + C - E for k={k}, N={order}", ok, ""))
     return checks
@@ -373,6 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except IntegralityError as exc:
         print(f"internal error: non-integer count ({exc})", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

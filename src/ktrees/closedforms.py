@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .engine import solve_system
 from .series import (
@@ -20,7 +21,6 @@ from .series import (
     add,
     exp_series,
     mul,
-    one,
     resized,
     scale,
     substitute_power,
@@ -49,19 +49,33 @@ def _sum_of_power_substitutions(term: Series, parity: int | None = None) -> Seri
     return total
 
 
+def _euler_fixed_point(order: int, term: Callable[[list[Fraction]], Fraction]) -> Series:
+    """The series F = exp(sum_m (x^m/m) T(x^m)), solved online.
+
+    ``term(f)`` gives T[d] from the coefficients f[0..d] of F.  With L the
+    exponent, j*L[j] = sum_{d | j} d*T[d-1] only needs F below degree j, so
+    F grows by one exact coefficient per degree through
+    n*F[n] = sum_{j=1..n} (j*L[j])*F[n-j].
+    """
+    f = [Fraction(1)]
+    t: list[Fraction] = []  # T[0..n-1]
+    jl = [Fraction(0)]  # j*L[j] for j = 0..n
+    for n in range(1, order + 1):
+        t.append(term(f))
+        jl.append(sum(d * t[d - 1] for d in range(1, n + 1) if n % d == 0))
+        f.append(sum(jl[j] * f[n - j] for j in range(1, n + 1)) / n)
+    return Series(order, f)
+
+
 def rooted_trees(order: int) -> Series:
     """Vertex-rooted unlabeled trees counted by number of edges.
 
     Solves R = exp(sum_m x^m R(x^m)/m): deleting the root leaves a multiset
-    of edge-attached rooted subtrees.  Degree d of the argument only needs R
-    through d-1, so each pass makes one more coefficient exact: starting
-    from R = 1 at order 0, pass i runs at order i and ``order`` passes
-    reach the exact fixed point.
+    of edge-attached rooted subtrees.  Degree d of the exponent only needs
+    R through d-1, so R is solved online, one coefficient per degree, by
+    n*R[n] = sum_j (j*L[j])*R[n-j] with j*L[j] = sum_{d | j} d*R[d-1].
     """
-    r = one(0)
-    for _ in range(order):
-        r = exp_series(_sum_of_power_substitutions(times_x(r)))
-    return r
+    return _euler_fixed_point(order, lambda r: r[-1])
 
 
 def otter_U(order: int) -> Series:
@@ -83,11 +97,10 @@ def twotree_rooted_series(order: int) -> tuple[Series, Series]:
     D = exp(sum_m (x^m/m) D(x^m)^2); S counts directed-edge rootings fixed
     by the edge flip, via the odd/even split
     S = exp(sum_{m odd} (x^m/m) D(x^{2m}) + sum_{m even} (x^m/m) D(x^m)^2).
-    D is solved like :func:`rooted_trees`: pass i runs at order i.
+    D is solved online like :func:`rooted_trees`, with
+    j*L[j] = sum_{d | j} d*(D^2)[d-1] and D^2 extended as D grows.
     """
-    d = one(0)
-    for _ in range(order):
-        d = exp_series(_sum_of_power_substitutions(times_x(mul(d, d))))
+    d = _euler_fixed_point(order, lambda f: sum(a * b for a, b in zip(f, reversed(f))))
 
     flip_term = _x_times(substitute_power(d, 2))  # x*D(x^2)
     plain_term = _x_times(mul(d, d))  # x*D(x)^2

@@ -8,9 +8,12 @@ so counting color-orbits of these trees under S_{k+1} counts unlabeled
 k-trees directly.
 
 This module enumerates every isomorphism class explicitly and takes orbits
-by sweeping all (k+1)! recolorings.  Trees are generated directly as
-canonical codes of colored rooted trees; a rooted shape is kept when its
-root is the tree center, found from the heights of the root's branches.
+by sweeping all (k+1)! recolorings.  Every distinct colored subtree is
+stored once, as an integer id in a table internal to this module, as in
+the tree isomorphism algorithm of Aho, Hopcroft and Ullman, so comparing
+and recoloring trees are integer operations.  A tree is built only from
+its center, tested on the stored heights of the root's branches before the
+root is built; the kept trees decode to canonical nested codes.
 It exists purely to cross-check the generating function engine, so it
 refuses inputs beyond a small documented scale rather than silently
 grinding through a combinatorial explosion.
@@ -19,7 +22,7 @@ grinding through a combinatorial explosion.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator, Sequence
 
 # Soft desk-scale limits: plenty to corroborate the engine, small enough
@@ -55,19 +58,50 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _colored_rooted(k: int, j: int, n: int) -> tuple[CanonicalCode, ...]:
-    """Codes of all trees rooted at a vertex of color j with n black vertices.
+# The intern table: every distinct colored subtree is stored once, and its
+# id is its index here.  A node is (color, sorted child ids), with color 0
+# for a black vertex, so equal ids <=> isomorphic colored rooted trees, and
+# comparing, hashing and recoloring subtrees are integer operations.  The
+# table only grows; every recoloring of a kept tree is a kept tree, so the
+# sweeps find every node they build already here.
+_NODES: list[tuple[int, tuple[int, ...]]] = []
+_HEIGHTS: list[int] = []  # edges from each node down to its deepest leaf
+_IDS: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    The root carries a multiset of black-rooted units; multisets are
-    enumerated one size class at a time so recursion depth stays at n.
+
+def _intern(color: int, children: tuple[int, ...]) -> int:
+    """Id of the node (color, children); ``children`` must be sorted."""
+    node = (color, children)
+    node_id = _IDS.get(node)
+    if node_id is None:
+        node_id = _IDS[node] = len(_NODES)
+        _NODES.append(node)
+        _HEIGHTS.append(1 + max((_HEIGHTS[c] for c in children), default=-1))
+    return node_id
+
+
+def _decoded(node_id: int, memo: dict) -> CanonicalCode:
+    """The canonical code of an interned tree, with sorted nested children."""
+    code = memo.get(node_id)
+    if code is None:
+        color, children = _NODES[node_id]
+        code = memo[node_id] = (color, tuple(sorted(_decoded(c, memo) for c in children)))
+    return code
+
+
+def _branch_sets(k: int, j: int, n: int, largest: int) -> list[tuple[int, ...]]:
+    """Multisets of black units below color j, n black vertices in all,
+    none with more than ``largest``.
+
+    Multisets are enumerated one size class at a time, so recursion depth
+    stays at ``largest``.
     """
-    units_by_size = {m: _black_units(k, j, m) for m in range(1, n + 1)}
+    units_by_size = {m: _black_units(k, j, m) for m in range(1, largest + 1)}
     results = []
 
-    def pick(size: int, remaining: int, chosen: list) -> None:
+    def pick(size: int, remaining: int, chosen: tuple) -> None:
         if remaining == 0:
-            results.append((j, tuple(sorted(chosen))))
+            results.append(chosen)
             return
         if size == 0:
             return
@@ -75,163 +109,177 @@ def _colored_rooted(k: int, j: int, n: int) -> tuple[CanonicalCode, ...]:
         units = units_by_size[size]
         for copies in range(1, remaining // size + 1):
             for extra in combinations_with_replacement(units, copies):
-                pick(size - 1, remaining - size * copies, chosen + list(extra))
+                pick(size - 1, remaining - size * copies, chosen + extra)
 
-    pick(n, n, [])
-    return tuple(results)
+    pick(largest, n, ())
+    return results
 
 
 @lru_cache(maxsize=None)
-def _black_units(k: int, j: int, m: int) -> tuple[CanonicalCode, ...]:
-    """Codes of black-rooted subtrees with m black vertices below color j.
+def _colored_rooted(k: int, j: int, n: int) -> tuple[int, ...]:
+    """Ids of all trees rooted at a vertex of color j with n black vertices."""
+    return tuple(_intern(j, tuple(sorted(b))) for b in _branch_sets(k, j, n, n))
+
+
+def _black_branches(k: int, j: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Child-id tuples of black vertices with m black vertices below color j.
 
     The black root already has its parent of color j, so it carries one
     colored child of every other color; with j = 0 (no parent) it carries
-    all k+1 colors, which gives every black-rooted tree.  The children have
-    distinct colors, so listing them in color order is already sorted.
+    all k+1 colors, which gives every black-rooted tree.
     """
     other_colors = [c for c in range(1, k + 2) if c != j]
-    out = []
     for comp in _compositions(m - 1, len(other_colors)):
-        pools = [_colored_rooted(k, c, size) for c, size in zip(other_colors, comp)]
-        out.extend((0, combo) for combo in product(*pools))
-    return tuple(out)
+        yield from product(
+            *(_colored_rooted(k, c, size) for c, size in zip(other_colors, comp))
+        )
 
 
-def _height(code: CanonicalCode, memo: dict) -> int:
-    """Number of edges from the root of ``code`` down to its deepest leaf.
-
-    ``memo`` maps subtree codes to their heights; coding trees share most
-    of their subtrees, so each is measured once per memo.
-    """
-    height = memo.get(code)
-    if height is None:
-        height = memo[code] = 1 + max((_height(ch, memo) for ch in code[1]), default=-1)
-    return height
+@lru_cache(maxsize=None)
+def _black_units(k: int, j: int, m: int) -> tuple[int, ...]:
+    """Ids of black-rooted subtrees with m black vertices below color j."""
+    return tuple(_intern(0, tuple(sorted(b))) for b in _black_branches(k, j, m))
 
 
-def _rooted_at_center(code: CanonicalCode, memo: dict) -> bool:
-    """Whether the root of ``code`` is the center of its tree.
+def _centered(children: tuple[int, ...]) -> bool:
+    """Whether a root with these children is the center of its tree.
 
     Every leaf of a coding tree is colored and every edge joins a black
     vertex to a colored one, so leaf-to-leaf paths have even length and the
     center is a single vertex: the one whose two tallest branches are
-    equally tall.  A lone vertex is its own center.  ``memo`` is the memo
-    of :func:`_height`.
+    equally tall.  A lone vertex is its own center.
     """
-    heights = sorted((_height(ch, memo) for ch in code[1]), reverse=True)
+    heights = sorted((_HEIGHTS[c] for c in children), reverse=True)
     return not heights or (len(heights) > 1 and heights[0] == heights[1])
 
 
+def _center_rooted(k: int, n: int) -> Iterator[int]:
+    """Ids of the k-coding trees with n black vertices, rooted at their center.
+
+    The center test reads the children's stored heights, so an off-center
+    root is never built.  A colored root with a branch of all n black
+    vertices has one branch and is a leaf, never the center (n >= 1), so
+    colored roots only take branches of at most n-1 black vertices.
+    """
+    roots = [(0, _black_branches(k, 0, n))]
+    roots += [(j, _branch_sets(k, j, n, n - 1)) for j in range(1, k + 2)]
+    for color, branch_sets in roots:
+        for children in branch_sets:
+            if _centered(children):
+                yield _intern(color, tuple(sorted(children)))
+
+
 def _validate_coding_tree(
-    k: int, code: CanonicalCode, parent_color: int | None = None
+    k: int, node_id: int, parent_color: int | None = None, checked: set | None = None
 ) -> None:
-    """Raise ``AssertionError`` unless ``code`` satisfies the coding-tree rules.
+    """Raise ``AssertionError`` unless the interned tree ``node_id``
+    satisfies the coding-tree rules.
 
     Each black vertex, counting its parent, has exactly one neighbor of
     each color 1..k+1, and no colored vertex has a colored neighbor.
+    ``checked`` holds the (node, parent color) pairs already found valid,
+    so a subtree shared between trees is checked once per parent color.
     """
-    color, children = code
-    child_colors = [c for c, _ in children]
+    if checked is None:
+        checked = set()
+    if (node_id, parent_color) in checked:
+        return
+    color, children = _NODES[node_id]
+    child_colors = [_NODES[c][0] for c in children]
     if color == 0:
         if parent_color is not None:
             child_colors.append(parent_color)
         if sorted(child_colors) != list(range(1, k + 2)):
-            raise AssertionError(f"black vertex lacks one neighbor of each color: {code}")
+            raise AssertionError(
+                f"black vertex lacks one neighbor of each color: {_decoded(node_id, {})}"
+            )
     elif any(child_colors):
-        raise AssertionError(f"colored vertex has a colored neighbor: {code}")
+        raise AssertionError(f"colored vertex has a colored neighbor: {_decoded(node_id, {})}")
     for child in children:
-        _validate_coding_tree(k, child, color)
+        _validate_coding_tree(k, child, color, checked)
+    checked.add((node_id, parent_color))
 
 
 @lru_cache(maxsize=None)
-def _all_codes(k: int, n: int) -> tuple[CanonicalCode, ...]:
-    """Sorted center-rooted codes of the k-coding trees with n black vertices.
+def _kept(k: int, n: int) -> tuple[int, ...]:
+    """Ids of the center-rooted k-coding trees with n black vertices.
 
-    The subtree heights that pick the center are memoised in a dict that
-    lives for this one call.  A process-wide cache on :func:`_height` would
-    keep every subtree alive after the sweep; with one on
-    :func:`_recolored` too, it raised the peak RSS of ``verify`` by 10 MB.
+    Each is validated once, when the (k, n) pool is first built.
     """
-    rooted = chain(
-        _black_units(k, 0, n), *(_colored_rooted(k, j, n) for j in range(1, k + 2))
-    )
-    memo: dict = {}
-    kept = [code for code in rooted if _rooted_at_center(code, memo)]
-    for code in kept:
-        _validate_coding_tree(k, code)
-    return tuple(sorted(kept))
+    kept = tuple(_center_rooted(k, n))
+    checked: set = set()
+    for node_id in kept:
+        _validate_coding_tree(k, node_id, checked=checked)
+    return kept
 
 
 def enumerate_coding_trees(k: int, n: int) -> list[CanonicalCode]:
     """Canonical codes of all k-coding trees with exactly n black vertices.
 
-    Rooted shapes are generated recursively, each already as its canonical
-    code; a shape is kept only when its root is the tree's center, that is
-    when its two tallest branches are equally tall (or it has no branch).
-    That selects exactly one rooted form per isomorphism class.  Results
-    are sorted for reproducibility and cached per (k, n), since the orbit
-    and fixed-count sweeps revisit them.
+    Rooted shapes are generated recursively, each subtree stored once as an
+    interned id; a shape is kept only when its root is the tree's center,
+    that is when its two tallest branches are equally tall (or it has no
+    branch).  That selects exactly one rooted form per isomorphism class.
+    The kept trees are decoded to nested codes and sorted for
+    reproducibility; the pool is cached per (k, n), since the orbit and
+    fixed-count sweeps revisit it.
     """
     _check_scale(k, n)
-    return list(_all_codes(k, n))
+    memo: dict = {}
+    return sorted(_decoded(node_id, memo) for node_id in _kept(k, n))
 
 
-def _recolored(code: CanonicalCode, perm: Sequence[int], memo: dict) -> CanonicalCode:
-    """Apply a color permutation and restore canonical child order.
+def _recolored(node_id: int, shade: Sequence[int], memo: dict) -> int:
+    """Id of the tree ``node_id`` recolored by ``shade``.
 
-    The center of a tree does not depend on colors, so recoloring a
-    center-rooted code never moves the root.  ``memo`` maps subtree codes
-    to their recolorings under ``perm``, and must not be shared between
-    permutations.
+    ``shade[c]`` is the new color of color c, with ``shade[0] == 0`` for
+    black.  The center of a tree does not depend on colors, so recoloring a
+    center-rooted tree never moves the root.  ``memo`` maps ids to their
+    recolorings under ``shade``, and must not be shared between recolorings.
     """
-    out = memo.get(code)
+    out = memo.get(node_id)
     if out is None:
-        color, children = code
-        new_color = perm[color - 1] if color else 0
-        out = memo[code] = (
-            new_color,
-            tuple(sorted(_recolored(ch, perm, memo) for ch in children)),
-        )
+        color, children = _NODES[node_id]
+        recolored = [memo[c] if c in memo else _recolored(c, shade, memo) for c in children]
+        out = memo[node_id] = _intern(shade[color], tuple(sorted(recolored)))
     return out
 
 
 def _check_permutation(k: int, perm: Sequence[int]) -> tuple[int, ...]:
+    """``perm`` as a shade for :func:`_recolored`: (0, perm[0], perm[1], ...)."""
     pi = tuple(perm)
     if sorted(pi) != list(range(1, k + 2)):
         raise ValueError(f"not a permutation of 1..{k + 1}: {perm}")
-    return pi
+    return (0, *pi)
 
 
 def fixed_count(k: int, n: int, perm: Sequence[int]) -> int:
     """Number of n-black coding trees invariant under recoloring by ``perm``.
 
     ``perm[i-1]`` is the image of color i.  Every coding tree is recolored
-    and compared.  Subtrees shared between trees are recolored once, in a
-    memo that lives for this one call: a process-wide cache would keep
-    every recolored subtree alive, and raised the peak RSS of ``verify``
-    by 10 MB.
+    and compared by id.  Subtrees shared between trees are recolored once,
+    in an int-keyed memo that lives for this one call.
     """
     _check_scale(k, n)
-    pi = _check_permutation(k, perm)
+    shade = _check_permutation(k, perm)
     memo: dict = {}
-    return sum(1 for code in _all_codes(k, n) if _recolored(code, pi, memo) == code)
+    return sum(1 for node_id in _kept(k, n) if _recolored(node_id, shade, memo) == node_id)
 
 
 def orbit_count(k: int, n: int) -> int:
     """Number of color-orbits of k-coding trees with n black vertices.
 
     This equals the number of unlabeled k-trees with n hedra.  Orbits are
-    built by the full (k+1)! recoloring sweep; at desk scale that is at
-    most 24 permutations.
+    built by the full (k+1)! recoloring sweep of every seed; at desk scale
+    that is at most 24 permutations, each with one memo for the call.
     """
     _check_scale(k, n)
-    todo = set(_all_codes(k, n))
-    perms = list(permutations(range(1, k + 2)))
+    todo = set(_kept(k, n))
+    memos = {(0, *pi): {} for pi in permutations(range(1, k + 2))}
     orbits = 0
     while todo:
         seed = todo.pop()
         orbits += 1
-        for pi in perms:
-            todo.discard(_recolored(seed, pi, {}))
+        for shade, memo in memos.items():
+            todo.discard(_recolored(seed, shade, memo))
     return orbits

@@ -9,8 +9,9 @@ import time
 import pytest
 
 from ktrees import cli, engine, oracle
+from ktrees.closedforms import twotree_rooted_series
 from ktrees.engine import count_ktrees
-from ktrees.series import IntegralityError
+from ktrees.series import IntegralityError, Series
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,53 @@ def test_oracle_failures_each_name_their_own_detail(capsys, monkeypatch):
         "FAIL oracle: orbit counts == engine for k=2, n<=6 [n=4: oracle 6 vs engine 5]",
         "FAIL oracle: Burnside identity for k=2, n<=6 [n=4: sum fix = 30, orbits = 6]",
     ]
+
+
+def test_twotree_pair_failure_names_the_series_and_degree(capsys, monkeypatch):
+    def perturbed(order):
+        d, s = twotree_rooted_series(order)
+        return bumped(d, 7), bumped(s, 5)
+
+    def bumped(f, degree):
+        return Series(f.order, [c + (n == degree) for n, c in enumerate(f.coeffs)])
+
+    monkeypatch.setattr(cli, "twotree_rooted_series", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "closedform")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        "FAIL closedform: 2-tree rooted pair == engine per-type series through order 30"
+        " [D differs at degree 7; S differs at degree 5]"
+    ]
+
+
+def _negative_at_degree_3(monkeypatch):
+    # E grows by 10^6 at degree 3, so U[3] = B + C - E drops below zero.
+    compute_e = engine.compute_E
+    monkeypatch.setattr(
+        engine,
+        "compute_E",
+        lambda cache: [e + 10**6 * (n == 3) for n, e in enumerate(compute_e(cache))],
+    )
+
+
+def test_negative_count_is_a_dissymmetry_failure(capsys, monkeypatch):
+    _negative_at_degree_3(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "dissymmetry")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 6
+    for k, line in enumerate(fails, start=1):
+        assert line.startswith(f"FAIL dissymmetry: U = B + C - E for k={k}, N=40 ["), line
+        assert "negative k-tree count U[3] = " in line and line.endswith(f" for k={k}]"), line
+
+
+def test_negative_count_exits_3(capsys, monkeypatch):
+    _negative_at_degree_3(monkeypatch)
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--terms", "6")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: negative k-tree count U[3] = -999998 for k=2\n"
 
 
 def test_usage_errors_exit_2(capsys):

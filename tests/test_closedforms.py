@@ -1,5 +1,7 @@
 """Closed forms for k = 1..4 against pinned values and the general engine."""
 
+from fractions import Fraction
+
 from ktrees.closedforms import (
     fourtree_U,
     otter_U,
@@ -9,7 +11,18 @@ from ktrees.closedforms import (
     twotree_rooted_series,
 )
 from ktrees.engine import count_ktrees, solve_system
-from ktrees.series import integer_coeffs, resized
+from ktrees.series import (
+    Series,
+    add,
+    exp_series,
+    integer_coeffs,
+    mul,
+    one,
+    resized,
+    scale,
+    substitute_power,
+    times_x,
+)
 
 
 def test_otter_reference_row():
@@ -33,6 +46,33 @@ def test_twotree_rooted_series_every_order_through_12():
     d12, s12 = twotree_rooted_series(12)
     for n in range(13):
         assert twotree_rooted_series(n) == (resized(d12, n), resized(s12, n)), n
+
+
+def picard_passes(passes, squared):
+    """Every pass of the Picard iteration F <- exp(sum_m T(x^m)/m), with
+    T = x*F, or x*F^2 when ``squared``, started from F = 1 at order 0.
+
+    Degree d of the exponent only needs F through d-1, so pass i, at order
+    i, is exact: entry i of the result is F at order i.
+    """
+    f = one(0)
+    out = [f]
+    for _ in range(passes):
+        term = times_x(mul(f, f) if squared else f)
+        exponent = Series(term.order, [0] * (term.order + 1))
+        for m in range(1, term.order + 1):
+            exponent = add(exponent, scale(substitute_power(term, m), Fraction(1, m)))
+        f = exp_series(exponent)
+        out.append(f)
+    return out
+
+
+def test_online_solves_match_the_picard_iteration_through_30():
+    r = picard_passes(30, squared=False)
+    d = picard_passes(30, squared=True)
+    for n in range(31):
+        assert rooted_trees(n) == r[n], n
+        assert twotree_rooted_series(n)[0] == d[n], n
 
 
 def test_twotree_reference_row():

@@ -1,10 +1,16 @@
 """Brute-force oracle: pinned small cases and agreement with the engine."""
 
-from itertools import permutations
+import os
+import subprocess
+import sys
+from functools import cache
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
+import ktrees
+from ktrees import oracle
 from ktrees.engine import count_fixed_by_type, count_ktrees, solve_system
 from ktrees.oracle import (
     MAX_K,
@@ -51,6 +57,11 @@ def test_class_counts_pinned():
     assert sum(map(sum, got.values())) == 1592
 
 
+def interned(code):
+    """The intern-table id of a nested code, interning it if need be."""
+    return oracle._intern(code[0], tuple(sorted(interned(child) for child in code[1])))
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -63,12 +74,116 @@ def test_class_counts_pinned():
 )
 def test_validator_rejects_malformed_codes(code):
     with pytest.raises(AssertionError):
-        _validate_coding_tree(2, code)
+        _validate_coding_tree(2, interned(code))
 
 
 def test_validator_accepts_enumerated_codes():
     for code in enumerate_coding_trees(2, 3):
-        _validate_coding_tree(2, code)
+        _validate_coding_tree(2, interned(code))
+
+
+@cache
+def _reference_colored(k, j, m):
+    """Nested codes of all trees rooted at color j with m black vertices."""
+    units = [(size, code) for size in range(1, m + 1) for code in _reference_black(k, j, size)]
+
+    def multisets(start, total):
+        if total == 0:
+            yield ()
+        for i in range(start, len(units)):
+            size, code = units[i]
+            if size > total:
+                return  # units are listed by size
+            for rest in multisets(i, total - size):
+                yield (code,) + rest
+
+    return [(j, tuple(sorted(chosen))) for chosen in multisets(0, m)]
+
+
+@cache
+def _reference_black(k, j, m):
+    """Nested codes of black-rooted trees with m black vertices below color j."""
+    others = [c for c in range(1, k + 2) if c != j]
+    out = []
+    for sizes in product(range(m), repeat=len(others)):
+        if sum(sizes) == m - 1:
+            pools = [_reference_colored(k, c, size) for c, size in zip(others, sizes)]
+            out.extend((0, combo) for combo in product(*pools))
+    return out
+
+
+@cache
+def _reference_height(code):
+    return 1 + max((_reference_height(child) for child in code[1]), default=-1)
+
+
+def reference_codes(k, n):
+    """The enumeration on nested tuples: every rooted shape, kept when its
+    two tallest branches are equally tall (or it has none)."""
+    shapes = _reference_black(k, 0, n)
+    for j in range(1, k + 2):
+        shapes = shapes + _reference_colored(k, j, n)
+    kept = []
+    for code in shapes:
+        heights = sorted(map(_reference_height, code[1]), reverse=True)
+        if not heights or (len(heights) > 1 and heights[0] == heights[1]):
+            kept.append(code)
+    return sorted(kept)
+
+
+def test_enumeration_matches_the_nested_tuple_reference():
+    for k in range(1, MAX_K + 1):
+        for n in range(MAX_N + 1):
+            assert enumerate_coding_trees(k, n) == reference_codes(k, n), (k, n)
+
+
+# Enumerates every (k, n) cell in the order given by argv[1], then prints a
+# digest of the codes, orbit counts and every fixed count, and how many
+# nodes the orbit and fixed-count sweeps added to the intern table.
+_ORDER_SCRIPT = """
+import hashlib, sys
+from itertools import permutations
+from ktrees import oracle
+cells = [(k, n) for k in range(1, oracle.MAX_K + 1) for n in range(oracle.MAX_N + 1)]
+if sys.argv[1] == "reversed":
+    cells.reverse()
+results, grown = {}, 0
+for k, n in cells:
+    codes = oracle.enumerate_coding_trees(k, n)
+    size = len(oracle._NODES)
+    orbits = oracle.orbit_count(k, n)
+    fixed = [oracle.fixed_count(k, n, pi) for pi in permutations(range(1, k + 2))]
+    grown += len(oracle._NODES) - size
+    results[k, n] = (codes, orbits, fixed)
+print(hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest(), grown)
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_runs():
+    """The order script's output from two fresh interpreters, forward and
+    reversed: the intern table is process-wide state."""
+    src = os.path.dirname(os.path.dirname(ktrees.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    outputs = {}
+    for order in ("forward", "reversed"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT, order],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        digest, grown = proc.stdout.split()
+        outputs[order] = (digest, int(grown))
+    return outputs
+
+
+def test_results_do_not_depend_on_call_order(cold_runs):
+    assert cold_runs["forward"][0] == cold_runs["reversed"][0]
+
+
+def test_sweeps_add_no_nodes_to_the_intern_table(cold_runs):
+    # Every recoloring of a kept tree is a kept tree, already interned.
+    assert cold_runs["forward"][1] == 0
+    assert cold_runs["reversed"][1] == 0
 
 
 def test_networkx_agrees_on_center_and_distinct_classes():
