@@ -252,24 +252,23 @@ def _verify_oracle() -> list[Check]:
     for k in range(1, MAX_K + 1):
         engine_u = count_ktrees(k, MAX_N).U
         perms = list(permutations(range(1, k + 2)))
-        orbit_ok = True
-        burnside_ok = True
+        # Each detail names the first failing n; an empty detail is a pass.
         orbit_detail = ""
         burnside_detail = ""
         for n in range(MAX_N + 1):
             orbits = orbit_count(k, n)
-            if orbits != engine_u[n]:
-                orbit_ok = False
+            if orbits != engine_u[n] and not orbit_detail:
                 orbit_detail = f"n={n}: oracle {orbits} vs engine {engine_u[n]}"
             fixed_total = sum(fixed_count(k, n, pi) for pi in perms)
-            if fixed_total != orbits * factorial(k + 1):
-                burnside_ok = False
+            if fixed_total != orbits * factorial(k + 1) and not burnside_detail:
                 burnside_detail = f"n={n}: sum fix = {fixed_total}, orbits = {orbits}"
         checks.append(
-            (f"oracle: orbit counts == engine for k={k}, n<={MAX_N}", orbit_ok, orbit_detail)
+            (f"oracle: orbit counts == engine for k={k}, n<={MAX_N}",
+             not orbit_detail, orbit_detail)
         )
         checks.append(
-            (f"oracle: Burnside identity for k={k}, n<={MAX_N}", burnside_ok, burnside_detail)
+            (f"oracle: Burnside identity for k={k}, n<={MAX_N}",
+             not burnside_detail, burnside_detail)
         )
     return checks
 
@@ -292,26 +291,24 @@ def _verify_dissymmetry(max_k: int = 6, order: int = 40) -> list[Check]:
 def _verify_stability(max_k: int = 14, max_n: int = 12) -> list[Check]:
     checks: list[Check] = []
     u = {k: count_ktrees(k, max_n).U for k in range(1, max_k + 1)}
-    stable_ok = True
+    # Each detail names the first failing cell; an empty detail is a pass.
     detail = ""
     for n in range(max_n + 1):
         for k in range(max(n - 1, 2), max_k + 1):
-            if u[k][n] != u[k - 1][n]:
-                stable_ok = False
+            if u[k][n] != u[k - 1][n] and not detail:
                 detail = f"n={n}, k={k}: {u[k][n]} != {u[k - 1][n]}"
     checks.append(
-        (f"stability: counts constant for k >= n-1 (n<={max_n}, k<={max_k})", stable_ok, detail)
+        (f"stability: counts constant for k >= n-1 (n<={max_n}, k<={max_k})",
+         not detail, detail)
     )
-    diff_ok = True
     detail = ""
     for n in range(4, max_n + 1):
         lhs = u[n - 2][n] - u[n - 3][n]
         rhs = u[1][n - 1]
-        if lhs != rhs:
-            diff_ok = False
+        if lhs != rhs and not detail:
             detail = f"n={n}: {lhs} != {rhs}"
     checks.append(
-        (f"stability: last jump equals tree count (4<=n<={max_n})", diff_ok, detail)
+        (f"stability: last jump equals tree count (4<=n<={max_n})", not detail, detail)
     )
     return checks
 

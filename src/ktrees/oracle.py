@@ -12,8 +12,15 @@ by sweeping all (k+1)! recolorings.  Every distinct colored subtree is
 stored once, as an integer id in a table internal to this module, as in
 the tree isomorphism algorithm of Aho, Hopcroft and Ullman, so comparing
 and recoloring trees are integer operations.  A tree is built only from
-its center, tested on the stored heights of the root's branches before the
-root is built; the kept trees decode to canonical nested codes.
+its center, as in the free-tree generation of Wright, Richmond, Odlyzko
+and McKay: each branch of the center comes from a pool capped at the
+tallest height the black-vertex budget allows beside an equally tall
+twin, and the root is built only when the stored heights of its branches
+pass the center test.  At desk scale every stored subtree is part of a
+kept tree; the kept trees decode to canonical nested codes.  A tree is
+invariant under a recoloring when its root color is fixed and its
+children map onto themselves; that test runs root-first and stops at the
+first difference.
 It exists purely to cross-check the generating function engine, so it
 refuses inputs beyond a small documented scale rather than silently
 grinding through a combinatorial explosion.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 # Soft desk-scale limits: plenty to corroborate the engine, small enough
 # that the full (k+1)!-sweep and the rooted-tree expansions stay instant.
@@ -62,7 +69,8 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 # id is its index here.  A node is (color, sorted child ids), with color 0
 # for a black vertex, so equal ids <=> isomorphic colored rooted trees, and
 # comparing, hashing and recoloring subtrees are integer operations.  The
-# table only grows; every recoloring of a kept tree is a kept tree, so the
+# table only grows.  The height caps leave out subtrees too tall for any
+# centered tree, and every recoloring of a kept tree is a kept tree, so the
 # sweeps find every node they build already here.
 _NODES: list[tuple[int, tuple[int, ...]]] = []
 _HEIGHTS: list[int] = []  # edges from each node down to its deepest leaf
@@ -89,14 +97,16 @@ def _decoded(node_id: int, memo: dict) -> CanonicalCode:
     return code
 
 
-def _branch_sets(k: int, j: int, n: int, largest: int) -> list[tuple[int, ...]]:
-    """Multisets of black units below color j, n black vertices in all,
-    none with more than ``largest``.
+def _branch_sets(
+    k: int, j: int, n: int, cap: Callable[[int], int]
+) -> list[tuple[int, ...]]:
+    """Multisets of black units below color j, n black vertices in all, each
+    unit of m black vertices no taller than ``cap(m)``.
 
     Multisets are enumerated one size class at a time, so recursion depth
-    stays at ``largest``.
+    stays at n.
     """
-    units_by_size = {m: _black_units(k, j, m) for m in range(1, largest + 1)}
+    units_by_size = {m: _black_units(k, j, m, cap(m)) for m in range(1, n + 1)}
     results = []
 
     def pick(size: int, remaining: int, chosen: tuple) -> None:
@@ -111,18 +121,30 @@ def _branch_sets(k: int, j: int, n: int, largest: int) -> list[tuple[int, ...]]:
             for extra in combinations_with_replacement(units, copies):
                 pick(size - 1, remaining - size * copies, chosen + extra)
 
-    pick(largest, n, ())
+    pick(n, n, ())
     return results
 
 
 @lru_cache(maxsize=None)
-def _colored_rooted(k: int, j: int, n: int) -> tuple[int, ...]:
-    """Ids of all trees rooted at a vertex of color j with n black vertices."""
-    return tuple(_intern(j, tuple(sorted(b))) for b in _branch_sets(k, j, n, n))
+def _colored_rooted(k: int, j: int, n: int, cap: int) -> tuple[int, ...]:
+    """Ids of all trees rooted at a vertex of color j with n black vertices
+    and height at most ``cap``; their black children are at most cap-1 tall.
+
+    A negative cap leaves the pool empty, and so also every black unit
+    capped below 1, since a black unit has at least one colored child.
+    """
+    if cap < 0:
+        return ()
+    return tuple(
+        _intern(j, tuple(sorted(b))) for b in _branch_sets(k, j, n, lambda m: cap - 1)
+    )
 
 
-def _black_branches(k: int, j: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Child-id tuples of black vertices with m black vertices below color j.
+def _black_branches(
+    k: int, j: int, m: int, cap: Callable[[int], int]
+) -> Iterator[tuple[int, ...]]:
+    """Child-id tuples of black vertices with m black vertices below color j,
+    each colored child with s black vertices no taller than ``cap(s)``.
 
     The black root already has its parent of color j, so it carries one
     colored child of every other color; with j = 0 (no parent) it carries
@@ -131,14 +153,17 @@ def _black_branches(k: int, j: int, m: int) -> Iterator[tuple[int, ...]]:
     other_colors = [c for c in range(1, k + 2) if c != j]
     for comp in _compositions(m - 1, len(other_colors)):
         yield from product(
-            *(_colored_rooted(k, c, size) for c, size in zip(other_colors, comp))
+            *(_colored_rooted(k, c, s, cap(s)) for c, s in zip(other_colors, comp))
         )
 
 
 @lru_cache(maxsize=None)
-def _black_units(k: int, j: int, m: int) -> tuple[int, ...]:
-    """Ids of black-rooted subtrees with m black vertices below color j."""
-    return tuple(_intern(0, tuple(sorted(b))) for b in _black_branches(k, j, m))
+def _black_units(k: int, j: int, m: int, cap: int) -> tuple[int, ...]:
+    """Ids of black-rooted subtrees with m black vertices below color j and
+    height at most ``cap``; their colored children are at most cap-1 tall."""
+    return tuple(
+        _intern(0, tuple(sorted(b))) for b in _black_branches(k, j, m, lambda s: cap - 1)
+    )
 
 
 def _centered(children: tuple[int, ...]) -> bool:
@@ -156,13 +181,24 @@ def _centered(children: tuple[int, ...]) -> bool:
 def _center_rooted(k: int, n: int) -> Iterator[int]:
     """Ids of the k-coding trees with n black vertices, rooted at their center.
 
-    The center test reads the children's stored heights, so an off-center
-    root is never built.  A colored root with a branch of all n black
-    vertices has one branch and is a leaf, never the center (n >= 1), so
-    colored roots only take branches of at most n-1 black vertices.
+    A branch is built only if the black vertices left to the other
+    branches could make a twin at least as tall.  Every branch ends in
+    colored leaves, so a tallest path of h edges holds h/2 black vertices
+    below a colored branch root and (h+1)/2 below a black one.  At the
+    center the tallest branch has a twin of the same height, and no branch
+    is taller than that twin, so a branch's height is bounded by the black
+    vertices the other branches hold.  Under the black root a
+    colored branch with s black vertices is at most 2(n-1-s) tall; under a
+    colored root a black branch with m black vertices is at most 2(n-m)-1
+    tall, so a lone branch of all n black vertices (a leaf root, never the
+    center) is never built.  The caps only skip branches that no centered
+    tree holds; the center test then reads the children's stored heights,
+    so an off-center root is never built either.
     """
-    roots = [(0, _black_branches(k, 0, n))]
-    roots += [(j, _branch_sets(k, j, n, n - 1)) for j in range(1, k + 2)]
+    roots = [(0, _black_branches(k, 0, n, lambda s: 2 * (n - 1 - s)))]
+    roots += [
+        (j, _branch_sets(k, j, n, lambda m: 2 * (n - m) - 1)) for j in range(1, k + 2)
+    ]
     for color, branch_sets in roots:
         for children in branch_sets:
             if _centered(children):
@@ -216,13 +252,13 @@ def _kept(k: int, n: int) -> tuple[int, ...]:
 def enumerate_coding_trees(k: int, n: int) -> list[CanonicalCode]:
     """Canonical codes of all k-coding trees with exactly n black vertices.
 
-    Rooted shapes are generated recursively, each subtree stored once as an
-    interned id; a shape is kept only when its root is the tree's center,
-    that is when its two tallest branches are equally tall (or it has no
-    branch).  That selects exactly one rooted form per isomorphism class.
-    The kept trees are decoded to nested codes and sorted for
-    reproducibility; the pool is cached per (k, n), since the orbit and
-    fixed-count sweeps revisit it.
+    Rooted shapes are generated recursively under height caps, each subtree
+    stored once as an interned id; a shape is kept only when its root is
+    the tree's center, that is when its two tallest branches are equally
+    tall (or it has no branch).  That selects exactly one rooted form per
+    isomorphism class.  The kept trees are decoded to nested codes and
+    sorted for reproducibility; the pool is cached per (k, n), since the
+    orbit and fixed-count sweeps revisit it.
     """
     _check_scale(k, n)
     memo: dict = {}
@@ -253,17 +289,39 @@ def _check_permutation(k: int, perm: Sequence[int]) -> tuple[int, ...]:
     return (0, *pi)
 
 
+def _fixed(node_id: int, shade: Sequence[int], memo: dict) -> bool:
+    """Whether recoloring by ``shade`` maps the tree ``node_id`` to itself.
+
+    This is ``_recolored(node_id, shade, memo) == node_id``, decided
+    root-first: the root's color must be fixed, each recolored child must
+    be one of the children, and the sorted images must be the children.
+    It stops at the first difference, so a tree whose root color moves
+    recolors nothing.
+    """
+    color, children = _NODES[node_id]
+    if shade[color] != color:
+        return False
+    images = []
+    for child in children:
+        image = _recolored(child, shade, memo)
+        if image not in children:
+            return False
+        images.append(image)
+    return sorted(images) == list(children)
+
+
 def fixed_count(k: int, n: int, perm: Sequence[int]) -> int:
     """Number of n-black coding trees invariant under recoloring by ``perm``.
 
-    ``perm[i-1]`` is the image of color i.  Every coding tree is recolored
-    and compared by id.  Subtrees shared between trees are recolored once,
-    in an int-keyed memo that lives for this one call.
+    ``perm[i-1]`` is the image of color i.  Every coding tree is tested
+    root-first (``_fixed``), so recoloring stops at the first difference.
+    Subtrees shared between trees are recolored once, in an int-keyed memo
+    that lives for this one call.
     """
     _check_scale(k, n)
     shade = _check_permutation(k, perm)
     memo: dict = {}
-    return sum(1 for node_id in _kept(k, n) if _recolored(node_id, shade, memo) == node_id)
+    return sum(1 for node_id in _kept(k, n) if _fixed(node_id, shade, memo))
 
 
 def orbit_count(k: int, n: int) -> int:

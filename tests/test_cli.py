@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, verify wiring."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -156,8 +157,9 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 def test_oracle_failures_each_name_their_own_detail(capsys, monkeypatch):
+    # Both lines name the first failing n, not the last.
     def shifted(k, n):
-        return oracle.orbit_count(k, n) + (k == 2 and n == 4)
+        return oracle.orbit_count(k, n) + (k == 2 and n in (4, 5))
 
     monkeypatch.setattr(cli, "orbit_count", shifted)
     code, out, _ = run_cli(capsys, "verify", "--mode", "oracle")
@@ -166,6 +168,22 @@ def test_oracle_failures_each_name_their_own_detail(capsys, monkeypatch):
     assert fails == [
         "FAIL oracle: orbit counts == engine for k=2, n<=6 [n=4: oracle 6 vs engine 5]",
         "FAIL oracle: Burnside identity for k=2, n<=6 [n=4: sum fix = 30, orbits = 6]",
+    ]
+
+
+def test_stability_failure_names_the_first_failing_cell(capsys, monkeypatch):
+    def bumped(k, order):
+        bundle = count_ktrees(k, order)
+        if k != 9:
+            return bundle
+        return dataclasses.replace(bundle, U=[u + (n in (6, 8)) for n, u in enumerate(bundle.U)])
+
+    monkeypatch.setattr(cli, "count_ktrees", bumped)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "stability")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        "FAIL stability: counts constant for k >= n-1 (n<=12, k<=14) [n=6, k=9: 65 != 64]"
     ]
 
 

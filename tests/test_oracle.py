@@ -131,15 +131,26 @@ def reference_codes(k, n):
     return sorted(kept)
 
 
+def reference_recolored(code, shade):
+    """A nested code recolored by ``shade`` (``shade[0] == 0``), children re-sorted."""
+    return (shade[code[0]], tuple(sorted(reference_recolored(c, shade) for c in code[1])))
+
+
 def test_enumeration_matches_the_nested_tuple_reference():
     for k in range(1, MAX_K + 1):
         for n in range(MAX_N + 1):
-            assert enumerate_coding_trees(k, n) == reference_codes(k, n), (k, n)
+            codes = reference_codes(k, n)
+            assert enumerate_coding_trees(k, n) == codes, (k, n)
+            for pi in permutations(range(1, k + 2)):
+                shade = (0, *pi)
+                fixed = sum(reference_recolored(code, shade) == code for code in codes)
+                assert fixed_count(k, n, pi) == fixed, (k, n, pi)
 
 
 # Enumerates every (k, n) cell in the order given by argv[1], then prints a
-# digest of the codes, orbit counts and every fixed count, and how many
-# nodes the orbit and fixed-count sweeps added to the intern table.
+# digest of the codes, orbit counts and every fixed count, how many nodes
+# the orbit and fixed-count sweeps added to the intern table, the size of
+# the table, and how many of its nodes the kept trees reach.
 _ORDER_SCRIPT = """
 import hashlib, sys
 from itertools import permutations
@@ -155,7 +166,15 @@ for k, n in cells:
     fixed = [oracle.fixed_count(k, n, pi) for pi in permutations(range(1, k + 2))]
     grown += len(oracle._NODES) - size
     results[k, n] = (codes, orbits, fixed)
-print(hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest(), grown)
+reached = set()
+todo = [node_id for k, n in cells for node_id in oracle._kept(k, n)]
+while todo:
+    node_id = todo.pop()
+    if node_id not in reached:
+        reached.add(node_id)
+        todo.extend(oracle._NODES[node_id][1])
+digest = hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest()
+print(digest, grown, len(oracle._NODES), len(reached))
 """
 
 
@@ -171,8 +190,8 @@ def cold_runs():
             [sys.executable, "-c", _ORDER_SCRIPT, order],
             capture_output=True, text=True, env=env, check=True,
         )
-        digest, grown = proc.stdout.split()
-        outputs[order] = (digest, int(grown))
+        digest, *counts = proc.stdout.split()
+        outputs[order] = (digest, *map(int, counts))
     return outputs
 
 
@@ -184,6 +203,13 @@ def test_sweeps_add_no_nodes_to_the_intern_table(cold_runs):
     # Every recoloring of a kept tree is a kept tree, already interned.
     assert cold_runs["forward"][1] == 0
     assert cold_runs["reversed"][1] == 0
+
+
+def test_intern_table_holds_only_nodes_of_kept_trees(cold_runs):
+    # The height caps build no subtree that a kept tree does not hold.
+    for order in ("forward", "reversed"):
+        _, _, nodes, reached = cold_runs[order]
+        assert nodes == reached, order
 
 
 def test_networkx_agrees_on_center_and_distinct_classes():
