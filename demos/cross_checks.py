@@ -1,8 +1,10 @@
 """Three independent routes to the same numbers.
 
 1. The general engine: solves the per-cycle-type system for any k.
-2. Closed forms: the classical self-contained formulas for k = 1 and 2,
-   and the reduced combinations for k = 3 and 4.
+2. Closed forms for k = 1..4: each solves its own hand-written per-type
+   system, reading nothing from the engine, then combines the series into
+   U (the classical formulas for k = 1 and 2, reduced combinations for
+   k = 3 and 4).
 3. Brute force: explicitly build every coding tree at small sizes and
    count color-orbits by sweeping all (k+1)! recolorings.
 """

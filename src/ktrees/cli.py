@@ -227,10 +227,10 @@ def _verify_closedform(order: int = 30) -> list[Check]:
     d, s = twotree_rooted_series(order)
     cache = solve_system(2, order)
     pair_details = [
-        f"{label} differs at degree {_first_difference(closed.coeffs, eng.coeffs)}"
+        f"{label} differs at degree {_first_difference(closed, eng)}"
         for label, closed, eng in (
-            ("D", d, cache.c_table[(1, 1)]),
-            ("S", s, cache.c_table[(2,)]),
+            ("D", integer_coeffs(d), cache.c[(1, 1)]),
+            ("S", integer_coeffs(s), cache.c[(2,)]),
         )
         if closed != eng
     ]

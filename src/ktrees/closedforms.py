@@ -1,31 +1,32 @@
-"""Hand-derived counting formulas for k = 1, 2, 3, 4.
+"""Hand-derived counting formulas for k = 1, 2, 3, 4, each solved on its own.
 
-For the two smallest k the whole system collapses to one or two series with
-classical closed forms, re-implemented here as fixed points of their own
-(independently of the general engine) so the two code paths can be compared
-coefficient for coefficient.  For k = 3 and k = 4 the collapse only merges
-the black- and edge-rooted aggregates; those formulas consume the engine's
-per-cycle-type series but combine them along a completely different route,
-which exercises the engine's aggregation against the known reductions.
+Every formula rests on the paper's per-cycle-type system
+
+    Bbar_mu = x * prod_i C_{mu^i}(x^i)          (i over parts of mu)
+    C_mu    = exp( sum_{m>=1} Bbar_{mu^m}(x^m) / m ),
+
+written out by hand for its own k: a small table gives, for each cycle
+type mu of the k non-root colors, the factors C_nu(x^i) of Bbar_mu / x and
+the type of each power mu^m.  One kernel, :func:`_fixed_points`, solves
+such a table on Python ints, so nothing here reads the general engine or
+derives a cycle power: a wrong per-type coefficient on either side shows up
+as a difference in U.  For k = 1 and 2 the tables are the classical closed
+forms (rooted trees R; the directed-edge 2-tree pair D, S).  For k = 3 and
+4 they hold the three and five cycle types of S_3 and S_4, which the known
+reduced combinations then average into U in exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
-from .engine import solve_system
-from .series import (
-    Series,
-    add,
-    exp_series,
-    mul,
-    resized,
-    scale,
-    substitute_power,
-    times_x,
-)
+from .series import IntegralityError, Series, add, mul, resized, scale, substitute_power, times_x
+
+Type = tuple[int, ...]
+# Each cycle type mu -> (the factors (nu, i) of Bbar_mu / x, each standing
+# for C_nu(x^i); the map m -> the cycle type of mu^m).
+System = dict[Type, tuple[list[tuple[Type, int]], Callable[[int], Type]]]
 
 
 def _x_times(f: Series) -> Series:
@@ -33,49 +34,54 @@ def _x_times(f: Series) -> Series:
     return resized(times_x(f), f.order)
 
 
-def _sum_of_power_substitutions(term: Series, parity: int | None = None) -> Series:
-    """sum over m >= 1 of term(x^m)/m, truncated at term's order.
+def _fixed_points(order: int, system: System) -> dict[Type, Series]:
+    """The series C_mu of every type of ``system``, solved online.
 
-    ``term`` has no constant term, so substituting x^m contributes nothing
-    below degree m and the sum is finite.  With ``parity`` 0 or 1 only even
-    or only odd m are taken.
+    Python ints, one coefficient of every series per degree n, from C_mu = 1
+    and Bbar_mu = 0.  Bbar_mu[n] is degree n-1 of its product of factors,
+    kept as running partial products, so it needs C only below degree n.
+    Then C_mu[n] follows from n*C_mu[n] = sum_{j=1..n} (j*L[j])*C_mu[n-j],
+    where j*L[j] = sum_{m | j} (j/m)*Bbar_{mu^m}[j/m] is the log-derivative.
+    Each division by n must be exact; a remainder raises IntegralityError
+    naming k = |mu|, mu and the degree.
     """
-    n = term.order
-    total = Series(n, [Fraction(0)] * (n + 1))
-    for m in range(1, n + 1):
-        if parity is not None and m % 2 != parity:
-            continue
-        total = add(total, scale(substitute_power(term, m), Fraction(1, m)))
-    return total
-
-
-def _euler_fixed_point(order: int, term: Callable[[list[Fraction]], Fraction]) -> Series:
-    """The series F = exp(sum_m (x^m/m) T(x^m)), solved online.
-
-    ``term(f)`` gives T[d] from the coefficients f[0..d] of F.  With L the
-    exponent, j*L[j] = sum_{d | j} d*T[d-1] only needs F below degree j, so
-    F grows by one exact coefficient per degree through
-    n*F[n] = sum_{j=1..n} (j*L[j])*F[n-j].
-    """
-    f = [Fraction(1)]
-    t: list[Fraction] = []  # T[0..n-1]
-    jl = [Fraction(0)]  # j*L[j] for j = 0..n
+    c = {mu: [1] for mu in system}
+    bbar = {mu: [0] for mu in system}
+    log_deriv = {mu: [0] for mu in system}
+    runs = {mu: [[] for _ in factors] for mu, (factors, _) in system.items()}
+    one = [1] + [0] * order
     for n in range(1, order + 1):
-        t.append(term(f))
-        jl.append(sum(d * t[d - 1] for d in range(1, n + 1) if n % d == 0))
-        f.append(sum(jl[j] * f[n - j] for j in range(1, n + 1)) / n)
-    return Series(order, f)
+        for mu, (factors, _) in system.items():
+            prev = one
+            for run, (nu, i) in zip(runs[mu], factors):
+                run.append(sum(prev[n - 1 - i * s] * c[nu][s] for s in range((n - 1) // i + 1)))
+                prev = run
+            bbar[mu].append(prev[n - 1])
+        for mu, (_, power) in system.items():
+            a = log_deriv[mu]
+            a.append(sum((n // m) * bbar[power(m)][n // m] for m in range(1, n + 1) if n % m == 0))
+            total = sum(x * y for x, y in zip(a[1:], reversed(c[mu])))
+            quotient, remainder = divmod(total, n)
+            if remainder:
+                raise IntegralityError(
+                    f"k={sum(mu)}, mu={mu}, degree {n}: {Fraction(total, n)} is not an integer"
+                )
+            c[mu].append(quotient)
+    return {mu: Series(order, coeffs) for mu, coeffs in c.items()}
 
 
 def rooted_trees(order: int) -> Series:
     """Vertex-rooted unlabeled trees counted by number of edges.
 
-    Solves R = exp(sum_m x^m R(x^m)/m): deleting the root leaves a multiset
-    of edge-attached rooted subtrees.  Degree d of the exponent only needs
-    R through d-1, so R is solved online, one coefficient per degree, by
-    n*R[n] = sum_j (j*L[j])*R[n-j] with j*L[j] = sum_{d | j} d*R[d-1].
+    R = exp(sum_m x^m R(x^m)/m): deleting the root leaves a multiset of
+    edge-attached rooted subtrees.  This is the 1-tree system, with the
+    single type (1) whose Bbar is x*R.
+
+    >>> [int(r) for r in rooted_trees(6).coeffs]
+    [1, 1, 2, 4, 9, 20, 48]
     """
-    return _euler_fixed_point(order, lambda r: r[-1])
+    r = (1,)
+    return _fixed_points(order, {r: ([(r, 1)], lambda m: r)})[r]
 
 
 def otter_U(order: int) -> Series:
@@ -89,28 +95,20 @@ def otter_U(order: int) -> Series:
     return add(r, scale(_x_times(sym_diff), Fraction(-1, 2)))
 
 
-@lru_cache(maxsize=None)
 def twotree_rooted_series(order: int) -> tuple[Series, Series]:
     """The two rooted series of the self-contained 2-tree solution.
 
-    D counts 2-trees rooted at a directed edge and satisfies
-    D = exp(sum_m (x^m/m) D(x^m)^2); S counts directed-edge rootings fixed
-    by the edge flip, via the odd/even split
+    D = C_(1,1) counts 2-trees rooted at a directed edge and satisfies
+    D = exp(sum_m (x^m/m) D(x^m)^2); S = C_(2) counts directed-edge
+    rootings fixed by the edge flip, via the odd/even split
     S = exp(sum_{m odd} (x^m/m) D(x^{2m}) + sum_{m even} (x^m/m) D(x^m)^2).
-    D is solved online like :func:`rooted_trees`, with
-    j*L[j] = sum_{d | j} d*(D^2)[d-1] and D^2 extended as D grows.
     """
-    d = _euler_fixed_point(order, lambda f: sum(a * b for a, b in zip(f, reversed(f))))
-
-    flip_term = _x_times(substitute_power(d, 2))  # x*D(x^2)
-    plain_term = _x_times(mul(d, d))  # x*D(x)^2
-    s = exp_series(
-        add(
-            _sum_of_power_substitutions(flip_term, parity=1),
-            _sum_of_power_substitutions(plain_term, parity=0),
-        )
-    )
-    return d, s
+    d, s = (1, 1), (2,)
+    fixed = _fixed_points(order, {
+        d: ([(d, 1), (d, 1)], lambda m: d),
+        s: ([(d, 2)], lambda m: s if m % 2 else d),
+    })
+    return fixed[d], fixed[s]
 
 
 def twotree_U(order: int) -> Series:
@@ -130,20 +128,26 @@ def twotree_U(order: int) -> Series:
 
 
 def threetree_U(order: int) -> Series:
-    """Unlabeled 3-trees from the solved per-cycle-type series.
+    """Unlabeled 3-trees, solved self-contained.
 
-    Uses the reduced combination
+    A, G, H are the colored-rooted series for the cycle types 1^3, 2.1 and
+    3 of the non-root colors, solved from their own system:
 
-        U = C - x( 1/8 A^4 + 1/4 A(x^2) G^2 - 1/8 A(x^2)^2 - 1/4 A(x^4) )
+        A = exp(sum_m x^m A(x^m)^3 / m)
+        G = exp(sum_{m odd} x^m A(x^2m) G(x^m) / m + sum_{m even} x^m A(x^m)^3 / m)
+        H = exp(sum_{3 !| m} x^m A(x^3m) / m + sum_{3 | m} x^m A(x^m)^3 / m)
 
-    where A, G, H are the colored-rooted series for the cycle types 1^3,
-    2.1 and 3 of the non-root colors, and C = A/6 + G/2 + H/3 is their
-    centralizer-weighted average.
+    With C = A/6 + G/2 + H/3, their centralizer-weighted average, the
+    reduced combination is
+
+        U = C - x( 1/8 A^4 + 1/4 A(x^2) G^2 - 1/8 A(x^2)^2 - 1/4 A(x^4) ).
     """
-    cache = solve_system(3, order)
-    a = cache.c_table[(1, 1, 1)]
-    g = cache.c_table[(2, 1)]
-    h = cache.c_table[(3,)]
+    ta, tg, th = (1, 1, 1), (2, 1), (3,)
+    a, g, h = _fixed_points(order, {
+        ta: ([(ta, 1)] * 3, lambda m: ta),
+        tg: ([(ta, 2), (tg, 1)], lambda m: tg if m % 2 else ta),
+        th: ([(ta, 3)], lambda m: th if m % 3 else ta),
+    }).values()
 
     c = add(
         add(scale(a, Fraction(1, 6)), scale(g, Fraction(1, 2))),
@@ -159,21 +163,26 @@ def threetree_U(order: int) -> Series:
 
 
 def fourtree_U(order: int) -> Series:
-    """Unlabeled 4-trees from the solved per-cycle-type series.
+    """Unlabeled 4-trees, solved self-contained.
 
-    Reduced combination over the five cycle types of S_4 (series A for
-    1^4, P for 2.1^2, Q for 2^2, R for 3.1, T for 4):
+    The five cycle types of S_4 give series A for 1^4, P for 2.1^2, Q for
+    2^2, R for 3.1 and T for 4, with Bbar = x A^4, x A(x^2) P^2,
+    x A(x^2)^2, x A(x^3) R and x A(x^4).  A power of P or Q of even order
+    is 1^4, and so is a power of R of order divisible by 3; T^m is T for
+    odd m, Q for m = 2 mod 4 and 1^4 for 4 | m.  The reduced combination:
 
         C = A/24 + P/4 + Q/8 + R/3 + T/4
         U = C - x( 1/30 A^5 + 1/6 A(x^3) R^2 + 1/6 A(x^2) P^3
                    - 1/6 P(x^3) R(x^2) - 1/5 A(x^5) ).
     """
-    cache = solve_system(4, order)
-    a = cache.c_table[(1, 1, 1, 1)]
-    p = cache.c_table[(2, 1, 1)]
-    q = cache.c_table[(2, 2)]
-    r = cache.c_table[(3, 1)]
-    t = cache.c_table[(4,)]
+    ta, tp, tq, tr, tt = (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)
+    a, p, q, r, t = _fixed_points(order, {
+        ta: ([(ta, 1)] * 4, lambda m: ta),
+        tp: ([(ta, 2), (tp, 1), (tp, 1)], lambda m: tp if m % 2 else ta),
+        tq: ([(ta, 2), (ta, 2)], lambda m: tq if m % 2 else ta),
+        tr: ([(ta, 3), (tr, 1)], lambda m: tr if m % 3 else ta),
+        tt: ([(ta, 4)], lambda m: tt if m % 2 else tq if m % 4 else ta),
+    }).values()
 
     c = scale(a, Fraction(1, 24))
     c = add(c, scale(p, Fraction(1, 4)))

@@ -74,9 +74,8 @@ class SeriesCache:
     partitions mu of k; ``b`` holds B_lam, keyed by exactly the partitions
     lam of k+1.  After :func:`solve_system` every table has order + 1
     coefficients, all correct.  ``c_table`` and ``bbar_table`` are the same
-    C_mu and Bbar_mu as :class:`Series`, built on first read, for the readers
-    on the rational route: ``threetree_U`` and ``fourtree_U``, the 2-tree
-    pair check of ``verify``, and the benchmark's trace.
+    C_mu and Bbar_mu as :class:`Series`, built on first read; nothing in the
+    package reads them, only the benchmark's trace and the tests.
     """
 
     k: int

@@ -104,9 +104,10 @@ def _branch_sets(
     unit of m black vertices no taller than ``cap(m)``.
 
     Multisets are enumerated one size class at a time, so recursion depth
-    stays at n.
+    stays at n.  A black unit is at least 1 tall (it has a colored child), so
+    no pool is built for a size capped below 1.
     """
-    units_by_size = {m: _black_units(k, j, m, cap(m)) for m in range(1, n + 1)}
+    units_by_size = {m: _black_units(k, j, m, cap(m)) for m in range(1, n + 1) if cap(m) >= 1}
     results = []
 
     def pick(size: int, remaining: int, chosen: tuple) -> None:
@@ -116,7 +117,7 @@ def _branch_sets(
         if size == 0:
             return
         pick(size - 1, remaining, chosen)
-        units = units_by_size[size]
+        units = units_by_size.get(size, ())
         for copies in range(1, remaining // size + 1):
             for extra in combinations_with_replacement(units, copies):
                 pick(size - 1, remaining - size * copies, chosen + extra)

@@ -31,8 +31,9 @@ class IntegralityError(ValueError):
     """A coefficient expected to be an integer is not one.
 
     Raised by :func:`integer_coeffs` for a denominator != 1, and by the
-    engine's exact divisions (the exponential recurrence, the orbit
-    averages) for a remainder, naming where it happened.  Either signals a
+    exact divisions of the engine (the exponential recurrence, the orbit
+    averages) and of the closed forms' fixed points for a remainder, naming
+    where it happened.  Either signals a
     bug in the calling computation (counting series must have integer
     coefficients), never bad user input.
     """

@@ -1,7 +1,12 @@
 """Closed forms for k = 1..4 against pinned values and the general engine."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from ktrees import cli, closedforms, engine
 from ktrees.closedforms import (
     fourtree_U,
     otter_U,
@@ -12,6 +17,7 @@ from ktrees.closedforms import (
 )
 from ktrees.engine import count_ktrees, solve_system
 from ktrees.series import (
+    IntegralityError,
     Series,
     add,
     exp_series,
@@ -109,3 +115,65 @@ def test_twotree_internals_match_engine_tables():
     cache = solve_system(2, 30)
     assert d == cache.c_table[(1, 1)]
     assert s == cache.c_table[(2,)]
+
+
+@pytest.mark.parametrize(
+    "k, solve", [(1, rooted_trees), (2, twotree_rooted_series), (3, threetree_U), (4, fourtree_U)]
+)
+def test_every_hand_table_solves_to_the_engine_per_type_series(monkeypatch, k, solve):
+    # Each closed form's own table covers exactly the cycle types of k, and
+    # its kernel reproduces every one of the engine's C_mu tables.
+    solved = []
+    fixed_points = closedforms._fixed_points
+
+    def recorded(order, system):
+        solved.append(fixed_points(order, system))
+        return solved[-1]
+
+    monkeypatch.setattr(closedforms, "_fixed_points", recorded)
+    solve(30)
+    (tables,) = solved
+    assert {mu: integer_coeffs(f) for mu, f in tables.items()} == solve_system(k, 30).c
+
+
+def test_a_remainder_names_k_the_type_and_the_degree():
+    # B(x) = x, but the m = 2 term reads x*C_(2): 4*C[4] = 6 at degree 4.
+    system = {
+        (1,): ([], lambda m: (2,) if m == 2 else (1,)),
+        (2,): ([((2,), 1)], lambda m: (2,)),
+    }
+    with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 4: 3/2 is not"):
+        closedforms._fixed_points(6, system)
+
+
+@pytest.mark.parametrize("k, mu", [(3, (3,)), (4, (4,))])
+def test_a_wrong_engine_coefficient_fails_the_closed_form_check(monkeypatch, k, mu):
+    # Adding k to C_mu[15] keeps the orbit average integral (mu's class has
+    # k!/k permutations), so only an independent solve of C_mu can catch it.
+    solve = engine.solve_system
+
+    def corrupted(k_solved, order):
+        cache = solve(k_solved, order)
+        if k_solved == k and order >= 15:
+            cache.c[mu][15] += k
+        return cache
+
+    monkeypatch.setattr(engine, "solve_system", corrupted)
+    monkeypatch.setattr(closedforms, "solve_system", corrupted, raising=False)
+    lines = {name: (passed, detail) for name, passed, detail in cli._verify_closedform()}
+    assert lines[f"closedform: {k}-tree formula == engine through order 30"] == (
+        False,
+        "first difference at n=15",
+    )
+
+
+def test_closedforms_imports_nothing_from_the_engine_or_partitions():
+    imported = set()
+    for node in ast.walk(ast.parse(Path(closedforms.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"engine", "partitions"}, sorted(imported)

@@ -212,6 +212,23 @@ def test_intern_table_holds_only_nodes_of_kept_trees(cold_runs):
         assert nodes == reached, order
 
 
+def test_branch_sets_build_no_black_unit_pool_capped_below_one(monkeypatch):
+    # A black unit is at least 1 tall, so such a pool would always be empty.
+    caps = []
+    black_units = oracle._black_units
+
+    def recorded(k, j, m, cap):
+        caps.append(cap)
+        return black_units(k, j, m, cap)
+
+    monkeypatch.setattr(oracle, "_black_units", recorded)
+    n = MAX_N
+    for k in range(1, MAX_K + 1):
+        branch_sets = oracle._branch_sets(k, 1, n, lambda m: 2 * (n - m) - 1)
+        assert branch_sets, k
+    assert caps and min(caps) >= 1
+
+
 def test_networkx_agrees_on_center_and_distinct_classes():
     nx = pytest.importorskip("networkx")
 
