@@ -17,7 +17,6 @@ from ktrees import (
     enumerate_coding_trees,
     fixed_count,
     fourtree_U,
-    integer_coeffs,
     orbit_count,
     otter_U,
     threetree_U,
@@ -26,7 +25,7 @@ from ktrees import (
 
 # Engine vs closed forms, exact through order 20.
 for fn, k in ((otter_U, 1), (twotree_U, 2), (threetree_U, 3), (fourtree_U, 4)):
-    closed = integer_coeffs(fn(20))
+    closed = fn(20)
     engine = count_ktrees(k, 20).U
     print(f"k={k}: closed form == engine through N=20: {closed == engine}")
 

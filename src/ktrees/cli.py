@@ -21,7 +21,6 @@ never bad input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import pairwise, permutations
 from math import factorial
@@ -31,7 +30,7 @@ from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_ro
 from .engine import _stable_k, count_ktrees, solve_system, stable_counts
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
-from .series import IntegralityError, integer_coeffs
+from .series import IntegralityError
 
 # Reference values: number of k-trees with n hedra, k = 1..5 and n = 0..9,
 # plus the stable tail (the common value of all rows with k >= n-1).
@@ -110,6 +109,8 @@ def _print_counts(k: int | str, counts: list[int], fmt: str, out: TextIO) -> Non
     if fmt == "csv":
         out.write(",".join(str(c) for c in counts) + "\n")
     elif fmt == "json":
+        import json  # here, not at the top: only --format json runs pay for it
+
         out.write(json.dumps({"k": k, "counts": counts}) + "\n")
     else:
         out.write(" ".join(str(c) for c in counts) + "\n")
@@ -121,6 +122,8 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
             out.write(",".join(str(c) for c in counts) + "\n")
         return
     if fmt == "json":
+        import json
+
         out.write(json.dumps([{"k": k, "counts": counts} for k, counts in rows]) + "\n")
         return
     n_cols = len(rows[0][1])
@@ -217,7 +220,7 @@ def _verify_closedform(order: int = 30) -> list[Check]:
         ("3-tree formula", threetree_U, 3),
         ("4-tree formula", fourtree_U, 4),
     ):
-        closed = integer_coeffs(fn(order))
+        closed = fn(order)
         eng = count_ktrees(k, order).U
         checks.append(
             (f"closedform: {name} == engine through order {order}",
@@ -229,8 +232,8 @@ def _verify_closedform(order: int = 30) -> list[Check]:
     pair_details = [
         f"{label} differs at degree {_first_difference(closed, eng)}"
         for label, closed, eng in (
-            ("D", integer_coeffs(d), cache.c[(1, 1)]),
-            ("S", integer_coeffs(s), cache.c[(2,)]),
+            ("D", d, cache.c[(1, 1)]),
+            ("S", s, cache.c[(2,)]),
         )
         if closed != eng
     ]

@@ -12,29 +12,72 @@ such a table on Python ints, so nothing here reads the general engine or
 derives a cycle power: a wrong per-type coefficient on either side shows up
 as a difference in U.  For k = 1 and 2 the tables are the classical closed
 forms (rooted trees R; the directed-edge 2-tree pair D, S).  For k = 3 and
-4 they hold the three and five cycle types of S_3 and S_4, which the known
-reduced combinations then average into U in exact rationals.
+4 they hold the three and five cycle types of S_3 and S_4.  Each formula
+then combines its series into U on ints too: the combination is multiplied
+through by its common denominator (2, 6, 24 and 120 for k = 1..4) and
+divided by it once per coefficient, and that division must be exact.
+Every result is a plain ``list[int]``, like the engine's rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
+from math import gcd
 from typing import Callable
 
-from .series import IntegralityError, Series, add, mul, resized, scale, substitute_power, times_x
+from .series import IntegralityError
 
 Type = tuple[int, ...]
 # Each cycle type mu -> (the factors (nu, i) of Bbar_mu / x, each standing
 # for C_nu(x^i); the map m -> the cycle type of mu^m).
 System = dict[Type, tuple[list[tuple[Type, int]], Callable[[int], Type]]]
+# A weighted sum of coefficient lists: (weight, list) pairs.
+Terms = list[tuple[int, list[int]]]
 
 
-def _x_times(f: Series) -> Series:
-    """x*f at f's own order (top coefficient of f falls off the end)."""
-    return resized(times_x(f), f.order)
+def _divide(num: int, den: int, where: str) -> int:
+    """num / den, which must be exact: a remainder raises IntegralityError
+    naming ``where``."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        g = gcd(num, den)
+        raise IntegralityError(f"{where}: {num // g}/{den // g} is not an integer")
+    return quotient
 
 
-def _fixed_points(order: int, system: System) -> dict[Type, Series]:
+def _mul(*factors: list[int]) -> list[int]:
+    """The product of equal-length coefficient lists, truncated at their length."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = [sum(map(operator.mul, out[: d + 1], reversed(f[: d + 1]))) for d in range(len(f))]
+    return out
+
+
+def _sub(f: list[int], m: int) -> list[int]:
+    """f(x^m), truncated at f's own length."""
+    out = [0] * len(f)
+    out[::m] = f[: (len(f) - 1) // m + 1]
+    return out
+
+
+def _reduce(k: int, den: int, c_terms: Terms, x_terms: Terms) -> list[int]:
+    """U = (sum(c_terms) - x * sum(x_terms)) / den, coefficient by coefficient.
+
+    The terms carry a reduced combination multiplied through by its common
+    denominator ``den``, so each numerator counts the k-trees of its degree
+    ``den`` times over and its division must be exact; a remainder raises
+    IntegralityError naming k and the degree.
+    """
+    out = []
+    for n in range(len(c_terms[0][1])):
+        num = sum(w * f[n] for w, f in c_terms)
+        if n:
+            num -= sum(w * f[n - 1] for w, f in x_terms)
+        out.append(_divide(num, den, f"k={k}, degree {n}"))
+    return out
+
+
+def _fixed_points(order: int, system: System) -> dict[Type, list[int]]:
     """The series C_mu of every type of ``system``, solved online.
 
     Python ints, one coefficient of every series per degree n, from C_mu = 1
@@ -61,41 +104,35 @@ def _fixed_points(order: int, system: System) -> dict[Type, Series]:
             a = log_deriv[mu]
             a.append(sum((n // m) * bbar[power(m)][n // m] for m in range(1, n + 1) if n % m == 0))
             total = sum(x * y for x, y in zip(a[1:], reversed(c[mu])))
-            quotient, remainder = divmod(total, n)
-            if remainder:
-                raise IntegralityError(
-                    f"k={sum(mu)}, mu={mu}, degree {n}: {Fraction(total, n)} is not an integer"
-                )
-            c[mu].append(quotient)
-    return {mu: Series(order, coeffs) for mu, coeffs in c.items()}
+            c[mu].append(_divide(total, n, f"k={sum(mu)}, mu={mu}, degree {n}"))
+    return c
 
 
-def rooted_trees(order: int) -> Series:
+def rooted_trees(order: int) -> list[int]:
     """Vertex-rooted unlabeled trees counted by number of edges.
 
     R = exp(sum_m x^m R(x^m)/m): deleting the root leaves a multiset of
     edge-attached rooted subtrees.  This is the 1-tree system, with the
     single type (1) whose Bbar is x*R.
 
-    >>> [int(r) for r in rooted_trees(6).coeffs]
+    >>> rooted_trees(6)
     [1, 1, 2, 4, 9, 20, 48]
     """
     r = (1,)
     return _fixed_points(order, {r: ([(r, 1)], lambda m: r)})[r]
 
 
-def otter_U(order: int) -> Series:
+def otter_U(order: int) -> list[int]:
     """Unlabeled trees by number of edges, via the classical root/edge trade-off.
 
     U = R - (x/2)(R^2 - R(x^2)) with R = rooted_trees: subtracting trees
     rooted at an asymmetric edge cancels all but one rooting of each tree.
     """
     r = rooted_trees(order)
-    sym_diff = add(mul(r, r), scale(substitute_power(r, 2), -1))
-    return add(r, scale(_x_times(sym_diff), Fraction(-1, 2)))
+    return _reduce(1, 2, [(2, r)], [(1, _mul(r, r)), (-1, _sub(r, 2))])
 
 
-def twotree_rooted_series(order: int) -> tuple[Series, Series]:
+def twotree_rooted_series(order: int) -> tuple[list[int], list[int]]:
     """The two rooted series of the self-contained 2-tree solution.
 
     D = C_(1,1) counts 2-trees rooted at a directed edge and satisfies
@@ -111,7 +148,7 @@ def twotree_rooted_series(order: int) -> tuple[Series, Series]:
     return fixed[d], fixed[s]
 
 
-def twotree_U(order: int) -> Series:
+def twotree_U(order: int) -> list[int]:
     """Unlabeled 2-trees by number of triangles, solved self-contained.
 
     With D and S from :func:`twotree_rooted_series`, C = (D + S)/2 counts
@@ -122,12 +159,10 @@ def twotree_U(order: int) -> Series:
     removes the overcount of rootable triangles.
     """
     d, s = twotree_rooted_series(order)
-    c = scale(add(d, s), Fraction(1, 2))
-    cubed_diff = add(mul(mul(d, d), d), scale(substitute_power(d, 3), -1))
-    return add(c, scale(_x_times(cubed_diff), Fraction(-1, 3)))
+    return _reduce(2, 6, [(3, d), (3, s)], [(2, _mul(d, d, d)), (-2, _sub(d, 3))])
 
 
-def threetree_U(order: int) -> Series:
+def threetree_U(order: int) -> list[int]:
     """Unlabeled 3-trees, solved self-contained.
 
     A, G, H are the colored-rooted series for the cycle types 1^3, 2.1 and
@@ -148,21 +183,15 @@ def threetree_U(order: int) -> Series:
         tg: ([(ta, 2), (tg, 1)], lambda m: tg if m % 2 else ta),
         th: ([(ta, 3)], lambda m: th if m % 3 else ta),
     }).values()
-
-    c = add(
-        add(scale(a, Fraction(1, 6)), scale(g, Fraction(1, 2))),
-        scale(h, Fraction(1, 3)),
+    a2 = _sub(a, 2)
+    return _reduce(
+        3, 24,
+        [(4, a), (12, g), (8, h)],
+        [(3, _mul(a, a, a, a)), (6, _mul(a2, g, g)), (-3, _mul(a2, a2)), (-6, _sub(a, 4))],
     )
 
-    a2 = substitute_power(a, 2)
-    inner = scale(mul(mul(a, a), mul(a, a)), Fraction(1, 8))
-    inner = add(inner, scale(mul(a2, mul(g, g)), Fraction(1, 4)))
-    inner = add(inner, scale(mul(a2, a2), Fraction(-1, 8)))
-    inner = add(inner, scale(substitute_power(a, 4), Fraction(-1, 4)))
-    return add(c, scale(_x_times(inner), -1))
 
-
-def fourtree_U(order: int) -> Series:
+def fourtree_U(order: int) -> list[int]:
     """Unlabeled 4-trees, solved self-contained.
 
     The five cycle types of S_4 give series A for 1^4, P for 2.1^2, Q for
@@ -183,17 +212,14 @@ def fourtree_U(order: int) -> Series:
         tr: ([(ta, 3), (tr, 1)], lambda m: tr if m % 3 else ta),
         tt: ([(ta, 4)], lambda m: tt if m % 2 else tq if m % 4 else ta),
     }).values()
-
-    c = scale(a, Fraction(1, 24))
-    c = add(c, scale(p, Fraction(1, 4)))
-    c = add(c, scale(q, Fraction(1, 8)))
-    c = add(c, scale(r, Fraction(1, 3)))
-    c = add(c, scale(t, Fraction(1, 4)))
-
-    a_sq = mul(a, a)
-    inner = scale(mul(mul(a_sq, a_sq), a), Fraction(1, 30))
-    inner = add(inner, scale(mul(substitute_power(a, 3), mul(r, r)), Fraction(1, 6)))
-    inner = add(inner, scale(mul(substitute_power(a, 2), mul(mul(p, p), p)), Fraction(1, 6)))
-    inner = add(inner, scale(mul(substitute_power(p, 3), substitute_power(r, 2)), Fraction(-1, 6)))
-    inner = add(inner, scale(substitute_power(a, 5), Fraction(-1, 5)))
-    return add(c, scale(_x_times(inner), -1))
+    return _reduce(
+        4, 120,
+        [(5, a), (30, p), (15, q), (40, r), (30, t)],
+        [
+            (4, _mul(a, a, a, a, a)),
+            (20, _mul(_sub(a, 3), r, r)),
+            (20, _mul(_sub(a, 2), p, p, p)),
+            (-20, _mul(_sub(p, 3), _sub(r, 2))),
+            (-24, _sub(a, 5)),
+        ],
+    )

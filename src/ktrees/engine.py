@@ -45,14 +45,14 @@ aggregation run on Python ints: each division (by the degree in the
 exponential recurrence, by the group order in the orbit averages) must be
 exact, and a remainder raises ``IntegralityError`` at the coefficient that
 produced it.  The results (the B, C, E aggregates, the per-type fixed counts
-and every row of :func:`count_ktrees`) are plain lists of ints; the rational
-:class:`Series` appears only in the ``c_table`` / ``bbar_table`` views.
+and every row of :func:`count_ktrees`) are plain lists of ints, as are the
+closed forms' rows in :mod:`closedforms`; the rational :class:`Series`
+appears only in the ``c_table`` / ``bbar_table`` views.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
@@ -66,7 +66,6 @@ from .partitions import (
 from .series import IntegralityError, Series
 
 
-@dataclass
 class SeriesCache:
     """Solved per-cycle-type integer tables for one (k, order) computation.
 
@@ -78,11 +77,15 @@ class SeriesCache:
     package reads them, only the benchmark's trace and the tests.
     """
 
-    k: int
-    order: int
-    c: dict[Partition, list[int]]
-    bbar: dict[Partition, list[int]]
-    b: dict[Partition, list[int]]
+    def __init__(
+        self,
+        k: int,
+        order: int,
+        c: dict[Partition, list[int]],
+        bbar: dict[Partition, list[int]],
+        b: dict[Partition, list[int]],
+    ):
+        self.k, self.order, self.c, self.bbar, self.b = k, order, c, bbar, b
 
     @cached_property
     def c_table(self) -> dict[Partition, Series]:
@@ -93,20 +96,27 @@ class SeriesCache:
         return {mu: Series(self.order, coeffs) for mu, coeffs in self.bbar.items()}
 
 
-@dataclass
 class ResultBundle:
     """Integer coefficient vectors for one (k, order) run.
 
     ``U[n]`` is the number of unlabeled k-trees with n hedra (n+k vertices);
     B, C, E are the rooted aggregates with U = B + C - E coefficientwise.
+    Two bundles are equal when all six fields are.
     """
 
-    k: int
-    order: int
-    U: list[int]
-    B: list[int]
-    C: list[int]
-    E: list[int]
+    def __init__(
+        self, k: int, order: int, U: list[int], B: list[int], C: list[int], E: list[int]
+    ):
+        self.k, self.order, self.U, self.B, self.C, self.E = k, order, U, B, C, E
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultBundle):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ResultBundle({fields})"
 
 
 def _divisor_table(n: int) -> list[list[int]]:

@@ -5,9 +5,10 @@ variable ``x``, computed and trusted only through an explicit truncation
 order ``N`` (inclusive).  Coefficients are ``fractions.Fraction`` values,
 so all arithmetic is exact; final counting results are integers and are
 extracted through the checked conversion :func:`integer_coeffs`.  This is
-the rational route's type: the closed forms and the tests' reference solve
-use it, while the engine solves and averages on Python ints.  Each operation
-has one spelling, a function (:func:`add`, :func:`mul`, :func:`scale`, ...).
+the tests' reference type: the engine and the closed forms both solve and
+combine on Python ints, and the tests rebuild their series here in exact
+rationals, independently, to check them.  Each operation has one
+spelling, a function (:func:`add`, :func:`mul`, :func:`scale`, ...).
 
 Binary operations require both operands to carry the same truncation
 order.  Mixing orders is a programming error, not something to coerce
@@ -32,9 +33,9 @@ class IntegralityError(ValueError):
 
     Raised by :func:`integer_coeffs` for a denominator != 1, and by the
     exact divisions of the engine (the exponential recurrence, the orbit
-    averages) and of the closed forms' fixed points for a remainder, naming
-    where it happened.  Either signals a
-    bug in the calling computation (counting series must have integer
+    averages) and of the closed forms (the fixed points, the reduced
+    combinations) for a remainder, naming where it happened.  Either signals
+    a bug in the calling computation (counting series must have integer
     coefficients), never bad user input.
     """
 

@@ -22,7 +22,6 @@ from ktrees.series import (
     Series,
     add,
     exp_series,
-    integer_coeffs,
     mul,
     scale,
     substitute_power,
@@ -61,7 +60,7 @@ def test_criterion_2_closed_form_equivalence():
     t0 = time.perf_counter()
     mismatches = []
     for fn, k in ((otter_U, 1), (twotree_U, 2), (threetree_U, 3), (fourtree_U, 4)):
-        if integer_coeffs(fn(30)) != count_ktrees(k, 30).U:
+        if fn(30) != count_ktrees(k, 30).U:
             mismatches.append(k)
     report(2, "closed forms k=1..4 equal the engine exactly through N=30",
            not mismatches, t0, f"mismatch at k={mismatches}")
@@ -95,7 +94,7 @@ def test_criterion_5_dissymmetry_identity():
     t0 = time.perf_counter()
     bad = []
     for k in range(1, 7):
-        bundle = count_ktrees(k, 40)  # integer_coeffs inside raises if non-integral
+        bundle = count_ktrees(k, 40)  # raises IntegralityError if a division is inexact
         for n in range(41):
             if bundle.U[n] != bundle.B[n] + bundle.C[n] - bundle.E[n] or bundle.U[n] < 0:
                 bad.append((k, n))

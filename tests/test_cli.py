@@ -1,18 +1,18 @@
 """CLI surface: formats, exit codes, determinism, verify wiring."""
 
-import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ktrees import cli, engine, oracle
 from ktrees.closedforms import twotree_rooted_series
 from ktrees.engine import count_ktrees
-from ktrees.series import IntegralityError, Series
+from ktrees.series import IntegralityError
 
 
 def run_cli(capsys, *argv):
@@ -176,7 +176,8 @@ def test_stability_failure_names_the_first_failing_cell(capsys, monkeypatch):
         bundle = count_ktrees(k, order)
         if k != 9:
             return bundle
-        return dataclasses.replace(bundle, U=[u + (n in (6, 8)) for n, u in enumerate(bundle.U)])
+        u = [u + (n in (6, 8)) for n, u in enumerate(bundle.U)]
+        return engine.ResultBundle(k, order, u, bundle.B, bundle.C, bundle.E)
 
     monkeypatch.setattr(cli, "count_ktrees", bumped)
     code, out, _ = run_cli(capsys, "verify", "--mode", "stability")
@@ -193,7 +194,7 @@ def test_twotree_pair_failure_names_the_series_and_degree(capsys, monkeypatch):
         return bumped(d, 7), bumped(s, 5)
 
     def bumped(f, degree):
-        return Series(f.order, [c + (n == degree) for n, c in enumerate(f.coeffs)])
+        return [c + (n == degree) for n, c in enumerate(f)]
 
     monkeypatch.setattr(cli, "twotree_rooted_series", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--mode", "closedform")
@@ -313,3 +314,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,1,1,2,3,6\n"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_json_or_ast():
+    # Every CLI run pays for what importing ktrees.cli loads; these four
+    # modules cost about 14 ms of start-up and no command needs them there.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+        "import ktrees.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'json', 'ast'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

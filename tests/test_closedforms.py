@@ -24,7 +24,6 @@ from ktrees.series import (
     integer_coeffs,
     mul,
     one,
-    resized,
     scale,
     substitute_power,
     times_x,
@@ -32,11 +31,11 @@ from ktrees.series import (
 
 
 def test_otter_reference_row():
-    assert integer_coeffs(otter_U(9)) == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+    assert otter_U(9) == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 
 
 def test_otter_constant_term():
-    assert otter_U(0).coeffs[0] == 1
+    assert otter_U(0) == [1]
 
 
 def test_rooted_trees_head():
@@ -45,13 +44,13 @@ def test_rooted_trees_head():
     # 0 and 1 included, must end on the exact head.
     head = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
     for n in range(13):
-        assert integer_coeffs(rooted_trees(n)) == head[: n + 1], n
+        assert rooted_trees(n) == head[: n + 1], n
 
 
 def test_twotree_rooted_series_every_order_through_12():
     d12, s12 = twotree_rooted_series(12)
     for n in range(13):
-        assert twotree_rooted_series(n) == (resized(d12, n), resized(s12, n)), n
+        assert twotree_rooted_series(n) == (d12[: n + 1], s12[: n + 1]), n
 
 
 def picard_passes(passes, squared):
@@ -77,44 +76,46 @@ def test_online_solves_match_the_picard_iteration_through_30():
     r = picard_passes(30, squared=False)
     d = picard_passes(30, squared=True)
     for n in range(31):
-        assert rooted_trees(n) == r[n], n
-        assert twotree_rooted_series(n)[0] == d[n], n
+        assert rooted_trees(n) == integer_coeffs(r[n]), n
+        assert twotree_rooted_series(n)[0] == integer_coeffs(d[n]), n
 
 
 def test_twotree_reference_row():
-    assert integer_coeffs(twotree_U(9)) == [1, 1, 1, 2, 5, 12, 39, 136, 529, 2171]
+    assert twotree_U(9) == [1, 1, 1, 2, 5, 12, 39, 136, 529, 2171]
 
 
 def test_twotree_n4():
-    assert twotree_U(4).coeffs[4] == 5
+    assert twotree_U(4)[4] == 5
 
 
 def test_threetree_reference_row():
-    assert integer_coeffs(threetree_U(9)) == [1, 1, 1, 2, 5, 15, 58, 275, 1505, 9003]
+    assert threetree_U(9) == [1, 1, 1, 2, 5, 15, 58, 275, 1505, 9003]
 
 
 def test_threetree_constant_term():
-    assert threetree_U(0).coeffs[0] == 1
+    assert threetree_U(0) == [1]
 
 
 def test_fourtree_reference_row():
-    assert integer_coeffs(fourtree_U(9)) == [1, 1, 1, 2, 5, 15, 64, 331, 2150, 15817]
+    assert fourtree_U(9) == [1, 1, 1, 2, 5, 15, 64, 331, 2150, 15817]
 
 
 def test_fourtree_n5():
-    assert fourtree_U(5).coeffs[5] == 15
+    assert fourtree_U(5)[5] == 15
 
 
 def test_all_closed_forms_agree_with_engine_through_30():
     for fn, k in ((otter_U, 1), (twotree_U, 2), (threetree_U, 3), (fourtree_U, 4)):
-        assert integer_coeffs(fn(30)) == count_ktrees(k, 30).U, k
+        closed = fn(30)
+        assert all(type(c) is int for c in closed), k
+        assert closed == count_ktrees(k, 30).U, k
 
 
 def test_twotree_internals_match_engine_tables():
     d, s = twotree_rooted_series(30)
     cache = solve_system(2, 30)
-    assert d == cache.c_table[(1, 1)]
-    assert s == cache.c_table[(2,)]
+    assert d == cache.c[(1, 1)]
+    assert s == cache.c[(2,)]
 
 
 @pytest.mark.parametrize(
@@ -133,7 +134,7 @@ def test_every_hand_table_solves_to_the_engine_per_type_series(monkeypatch, k, s
     monkeypatch.setattr(closedforms, "_fixed_points", recorded)
     solve(30)
     (tables,) = solved
-    assert {mu: integer_coeffs(f) for mu, f in tables.items()} == solve_system(k, 30).c
+    assert tables == solve_system(k, 30).c
 
 
 def test_a_remainder_names_k_the_type_and_the_degree():
@@ -144,6 +145,21 @@ def test_a_remainder_names_k_the_type_and_the_degree():
     }
     with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 4: 3/2 is not"):
         closedforms._fixed_points(6, system)
+
+
+def test_a_reduction_remainder_names_k_and_the_degree(monkeypatch):
+    # H = C_(3) enters 24*U as 8*H, so one more tree fixed by a 3-cycle at
+    # degree 9 moves the numerator by 8, which 24 does not divide.
+    fixed_points = closedforms._fixed_points
+
+    def bumped(order, system):
+        tables = fixed_points(order, system)
+        tables[(3,)][9] += 1
+        return tables
+
+    monkeypatch.setattr(closedforms, "_fixed_points", bumped)
+    with pytest.raises(IntegralityError, match=r"^k=3, degree 9: \d+/3 is not an integer"):
+        threetree_U(12)
 
 
 @pytest.mark.parametrize("k, mu", [(3, (3,)), (4, (4,))])
@@ -167,13 +183,28 @@ def test_a_wrong_engine_coefficient_fails_the_closed_form_check(monkeypatch, k, 
     )
 
 
-def test_closedforms_imports_nothing_from_the_engine_or_partitions():
+def _imported_names(module) -> set[str]:
+    """Every module and ``module.name`` that ``module``'s source imports."""
     imported = set()
-    for node in ast.walk(ast.parse(Path(closedforms.__file__).read_text())):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             base = node.module or ""
             imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
+    return imported
+
+
+def test_closedforms_imports_nothing_from_the_engine_or_partitions():
+    imported = _imported_names(closedforms)
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"engine", "partitions"}, sorted(imported)
+
+
+def test_closedforms_run_on_ints_without_fractions_or_series():
+    # Only the error type comes from the series module.
+    imported = _imported_names(closedforms)
+    assert "fractions" not in imported, sorted(imported)
+    assert {name for name in imported if name.startswith("series.")} == {
+        "series.IntegralityError"
+    }, sorted(imported)
