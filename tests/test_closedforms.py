@@ -183,10 +183,10 @@ def test_a_wrong_engine_coefficient_fails_the_closed_form_check(monkeypatch, k, 
     )
 
 
-def _imported_names(module) -> set[str]:
-    """Every module and ``module.name`` that ``module``'s source imports."""
+def _closedforms_imports() -> set[str]:
+    """Every module and ``module.name`` that closedforms' source imports."""
     imported = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+    for node in ast.walk(ast.parse(Path(closedforms.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             base = node.module or ""
             imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
@@ -196,14 +196,14 @@ def _imported_names(module) -> set[str]:
 
 
 def test_closedforms_imports_nothing_from_the_engine_or_partitions():
-    imported = _imported_names(closedforms)
+    imported = _closedforms_imports()
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"engine", "partitions"}, sorted(imported)
 
 
 def test_closedforms_run_on_ints_without_fractions_or_series():
     # Only the error type comes from the series module.
-    imported = _imported_names(closedforms)
+    imported = _closedforms_imports()
     assert "fractions" not in imported, sorted(imported)
     assert {name for name in imported if name.startswith("series.")} == {
         "series.IntegralityError"
