@@ -5,7 +5,10 @@ Subcommands
     table   grid of counts for k = 1..max_k, optionally with the stable row
     stable  the k-independent tail values
     verify  consistency suites against embedded reference data, the closed
-            forms, the brute-force oracle, and the structural identities
+            forms, the brute-force oracle, and the structural identities;
+            when the process may use more than one CPU, ``--mode all``
+            runs the suites concurrently in forked workers and prints the
+            same lines in the same order
 
 Counts are indexed by the number of hedra n; a k-tree with n hedra has
 n + k vertices.  For cross-reference, the rows k = 1..5 and the stable row
@@ -21,10 +24,11 @@ never bad input).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import pairwise, permutations
 from math import factorial
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import _stable_k, count_ktrees, solve_system, stable_counts
@@ -246,8 +250,9 @@ def _verify_closedform(order: int = 30) -> list[Check]:
 
 
 def _first_difference(a: Sequence, b: Sequence) -> int:
-    """The first index where ``a`` and ``b`` differ, or -1 if none does."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), -1)
+    """The first index where ``a`` and ``b`` differ: where their common
+    prefix ends, so the shorter length if one is a prefix of the other."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _verify_oracle() -> list[Check]:
@@ -325,11 +330,105 @@ _SUITES: dict[str, Callable[[], list[Check]]] = {
 }
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _suite_results(modes: list[str]) -> Iterator[list[Check]]:
+    """Yield the checks of each suite in ``modes``, in order; a suite that
+    raised has its exception raised in its place.
+
+    The suites share no results, so with more than one suite and more than
+    one usable CPU every suite but the last runs in a forked child while
+    this process runs the last.  Each child sends back its checks, or the
+    exception it raised, pickled over a pipe.  A child that ends without a
+    result raises RuntimeError naming its suite.  Every child is reaped
+    before this returns or raises.  A process with a second thread never
+    forks: the child could inherit a lock held by a thread it lacks.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        len(modes) == 1
+        or not hasattr(os, "fork")
+        or _usable_cpus() == 1
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        for mode in modes:
+            yield _SUITES[mode]()
+        return
+    import pickle  # here, not at the top: only a forking run needs it
+
+    workers: list[tuple[str, int, int]] = []  # (mode, pid, read end of its pipe)
+    try:
+        for mode in modes[:-1]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _serve_suite(mode, write_fd)
+            os.close(write_fd)
+            workers.append((mode, pid, read_fd))
+        own = _outcome(modes[-1])
+        while workers:
+            mode, pid, read_fd = workers.pop(0)
+            with open(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise RuntimeError(
+                    f"verify suite {mode!r} ended without a result (exit status {status})"
+                )
+            yield _raise_if_exception(pickle.loads(payload))
+        yield _raise_if_exception(own)
+    finally:
+        for _, pid, read_fd in workers:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+
+
+def _serve_suite(mode: str, write_fd: int) -> NoReturn:
+    """In a forked child: run one suite, pickle its checks or its exception
+    to ``write_fd``, and leave without returning to the caller's stack.
+    The exit status is 0 only once the result is written."""
+    import pickle
+
+    status = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(_outcome(mode), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _outcome(mode: str) -> list[Check] | Exception:
+    """The checks of one suite, or the exception it raised."""
+    try:
+        return _SUITES[mode]()
+    except Exception as exc:
+        return exc
+
+
+def _raise_if_exception(outcome: list[Check] | Exception) -> list[Check]:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     modes = list(_SUITES) if args.mode == "all" else [args.mode]
     failures = 0
-    for mode in modes:
-        for name, passed, detail in _SUITES[mode]():
+    for checks in _suite_results(modes):
+        for name, passed, detail in checks:
             if passed:
                 out.write(f"PASS {name}\n")
             else:

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from ktrees import cli, engine, oracle
-from ktrees.closedforms import twotree_rooted_series
+from ktrees.closedforms import otter_U, twotree_rooted_series
 from ktrees.engine import count_ktrees
 from ktrees.series import IntegralityError
 
@@ -206,6 +208,19 @@ def test_twotree_pair_failure_names_the_series_and_degree(capsys, monkeypatch):
     ]
 
 
+def test_a_closed_form_of_the_wrong_length_names_where_it_ends(capsys, monkeypatch):
+    assert cli._first_difference([1, 2, 3], [1, 2]) == 2
+    assert cli._first_difference([], [1]) == 0
+    assert cli._first_difference([1, 5, 3], [1, 2]) == 1
+    monkeypatch.setattr(cli, "otter_U", lambda order: otter_U(order)[:-1])
+    code, out, _ = run_cli(capsys, "verify", "--mode", "closedform")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        "FAIL closedform: 1-tree formula == engine through order 30 [first difference at n=30]"
+    ]
+
+
 def _negative_at_degree_3(monkeypatch):
     # E grows by 10^6 at degree 3, so U[3] = B + C - E drops below zero.
     compute_e = engine.compute_E
@@ -272,6 +287,114 @@ def test_located_integrality_failure_exits_3(capsys, monkeypatch):
     assert "k=2, mu=(2,), degree 2" in err
 
 
+# With more than one suite and more than one usable CPU, verify runs every
+# suite but the last in a forked child; the children inherit monkeypatches.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _raise_integrality():
+    raise IntegralityError("k=1, degree 2: 1/2 is not an integer")
+
+
+def _no_fork():
+    raise AssertionError("this run must not fork")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_usable_cpus_is_at_least_one_and_at_most_the_cpu_count():
+    assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_all_prints_the_pinned_bytes_forked_or_not(capsys, monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    if cpus == 1:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "all")
+    assert code == 0
+    assert _sha256(out) == dict(PINNED_OUTPUTS)[("verify", "--mode", "all")]
+    _assert_no_child_left()
+
+
+def test_a_single_mode_forks_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "closedform")
+    assert code == 0
+    assert out.endswith("OK: 0 failing check(s)\n")
+
+
+def test_a_process_with_a_second_thread_forks_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--mode", "all")
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert code == 0
+    assert _sha256(out) == dict(PINNED_OUTPUTS)[("verify", "--mode", "all")]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_integrality_error_in_the_first_suite_exits_3(capsys, monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setitem(cli._SUITES, "reference", _raise_integrality)
+    code, out, err = run_cli(capsys, "verify", "--mode", "all")
+    assert (code, out) == (3, "")
+    assert err == "internal error: non-integer count (k=1, degree 2: 1/2 is not an integer)\n"
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_raising_closedform_suite_exits_3_after_the_reference_lines(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    _, reference, _ = run_cli(capsys, "verify", "--mode", "reference")
+    monkeypatch.setitem(cli._SUITES, "closedform", _raise_integrality)
+    code, out, err = run_cli(capsys, "verify", "--mode", "all")
+    assert code == 3
+    assert out + "OK: 0 failing check(s)\n" == reference
+    assert err.startswith("internal error: non-integer count")
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_every_child_is_reaped_when_the_last_suite_raises(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(cli._SUITES, "stability", _raise_integrality)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "all")
+    assert code == 3
+    assert out.count("PASS ") == 24 and "stability" not in out
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_child_that_dies_without_a_result_is_an_error_naming_its_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(cli._SUITES, "oracle", lambda: os._exit(7))
+    died = r"suite 'oracle' ended without a result \(exit status 7\)"
+    with pytest.raises(RuntimeError, match=died):
+        cli.main(["verify", "--mode", "all"])
+    out = capsys.readouterr().out
+    assert "PASS closedform" in out and "oracle" not in out
+    assert "OK" not in out
+    _assert_no_child_left()
+
+
 def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a refused query must not be solved")
@@ -317,13 +440,14 @@ def test_module_entry_point():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_json_or_ast():
-    # Every CLI run pays for what importing ktrees.cli loads; these four
-    # modules cost about 14 ms of start-up and no command needs them there.
+    # Every CLI run pays for what importing ktrees.cli loads; the first four
+    # modules cost about 14 ms of start-up and no command needs them there,
+    # and only verify's runner, once it forks, needs pickle.
     src = str(Path(cli.__file__).resolve().parents[1])
     script = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
         "import ktrees.cli\n"
-        "heavy = {'dataclasses', 'inspect', 'json', 'ast'}\n"
+        "heavy = {'dataclasses', 'inspect', 'json', 'ast', 'pickle'}\n"
         "print(sorted(heavy & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
