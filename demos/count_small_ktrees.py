@@ -24,7 +24,7 @@ print("  C (front-rooted): ", two.C)
 print("  E (pair-rooted):  ", two.E)
 assert all(u == b + c - e for u, b, c, e in zip(two.U, two.B, two.C, two.E))
 
-# For fixed n the counts stop depending on k once k >= n-1.  The stable
+# For fixed n the counts stop depending on k once k >= n-2.  The stable
 # values form a sequence of their own.
 print("\nk\\n  " + "".join(f"{n:>6}" for n in range(10)))
 for k in range(1, 7):

@@ -1,9 +1,10 @@
 """Why the columns of the count table freeze as k grows.
 
-Once k >= n-1 there is not enough room in n hedra to use more than k
-colors' worth of structure, so the count K(n, k) stops changing with k.
-The jump just before the freeze is itself a recognizable number: the
-count of ordinary trees one size down.
+Once k >= n-1, every k-tree with n hedra has a vertex adjacent to all
+others, and deleting it leaves a (k-1)-tree with n hedra; that is a
+bijection, so the count K(n, k) is constant for k >= n-2.  The jump just
+before the freeze is itself a recognizable number: the count of ordinary
+trees one size down.
 """
 
 from ktrees import count_ktrees, stable_counts
@@ -15,7 +16,7 @@ table = {k: count_ktrees(k, MAX_N).U for k in range(1, MAX_N + 1)}
 n = 8
 print(f"counts of k-trees with n={n} hedra as k grows:")
 for k in range(1, MAX_N):
-    marker = "  <- stable from here (k >= n-1)" if k == n - 1 else ""
+    marker = "  <- stable from here (k >= n-2)" if k == n - 2 else ""
     print(f"  k={k:<2} {table[k][n]}{marker}")
 
 stable = stable_counts(MAX_N)

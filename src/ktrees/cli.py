@@ -37,7 +37,7 @@ from .partitions import partition_numbers
 from .series import IntegralityError
 
 # Reference values: number of k-trees with n hedra, k = 1..5 and n = 0..9,
-# plus the stable tail (the common value of all rows with k >= n-1).
+# plus the stable tail (the common value of all rows with k >= n-2).
 REFERENCE_COUNTS: dict[int, list[int]] = {
     1: [1, 1, 1, 2, 3, 6, 11, 23, 47, 106],
     2: [1, 1, 1, 2, 5, 12, 39, 136, 529, 2171],
@@ -152,8 +152,9 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 # ---------------------------------------------------------------- commands
 
 
-# U_k[n] is constant for k >= n-1, so count and table serve a larger k from
-# k = _stable_k(order); the engine cannot clamp, as B, C and E still vary.
+# U_k[n] is constant for k >= n-2, so count and table serve a larger k from
+# the one solve at k = _stable_k(order) = max(N-2, 1); the engine cannot
+# clamp, as B, C and E still vary.
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     order = args.terms - 1
     k = min(args.k, _stable_k(order))

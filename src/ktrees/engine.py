@@ -332,23 +332,31 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
 def _stable_k(order: int) -> int:
     """The least k whose counts of 0..order hedra all lie in the stable range.
 
-    U_k[n] is constant for k >= n-1 (see :func:`stable_counts`), and k >= 1;
+    U_k[n] is constant for k >= n-2 (see :func:`stable_counts`), and k >= 1;
     the CLI serves every larger k from this one.
 
     >>> [_stable_k(n) for n in range(5)]
-    [1, 1, 1, 2, 3]
+    [1, 1, 1, 1, 2]
     """
-    return max(order - 1, 1)
+    return max(order - 2, 1)
 
 
 def stable_counts(order: int) -> list[int]:
-    """The k-independent tail values: entry n is the n-hedra count at k = max(n-1, 1).
+    """The k-independent tail values: entry n is the n-hedra count at k = max(n-2, 1).
 
-    Stripping the colored leaves off a coding tree with n black vertices
-    leaves at most n-1 colored vertices, so once k >= n-1 additional colors
-    can never appear and the count freezes.  One solve at k = max(order-1, 1)
-    is therefore in the stable range of every n <= order, and since a solve
-    is exact at each degree up to its order, its whole U row is the tail.
+    Take a k-tree with n hedra.  Each of the n-1 hedra after the first
+    shares a k-clique with an earlier hedron, so it drops at most one vertex
+    from the running intersection of all hedra, and at least k+2-n vertices
+    lie in every hedron.  So for k >= n-1 some vertex is adjacent to all
+    others, and any two such vertices are swapped by an automorphism.
+    Deleting one is therefore a bijection from unlabeled k-trees with n
+    hedra to unlabeled (k-1)-trees with n hedra, with adding a universal
+    vertex as its inverse.  Hence U_k[n] = U_{k-1}[n] for k >= n-1, and
+    column n is constant from k = n-2 on.  (It is the least such k for
+    n >= 4: the last jump U_{n-2}[n] - U_{n-3}[n] is the number of trees
+    U_1[n-1] > 0.)  One solve at k = max(order-2, 1) is therefore in the
+    stable range of every n <= order, and since a solve is exact at each
+    degree up to its order, its whole U row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

@@ -109,7 +109,7 @@ def test_criterion_6_stability(stability_table):
         for k in range(max(n - 1, 2), 15):
             if stability_table[k][n] != stability_table[k - 1][n]:
                 bad.append((n, k))
-    report(6, "counts constant in k for k >= n-1, n<=12, k<=14", not bad, t0, str(bad))
+    report(6, "counts constant in k for k >= n-2, n<=12, k<=14", not bad, t0, str(bad))
 
 
 def test_criterion_7_difference_identity(stability_table):

@@ -133,9 +133,9 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
     )
     assert code == 0
     rows = [[int(v) for v in line.split(",")] for line in out.strip().splitlines()]
-    assert rows[:4] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 5)]
-    assert rows[4:] == [cli.STABLE_ROW[:7]] * 27  # k = 5..30 and the stable row
-    assert calls == [1, 2, 3, 4, 5]
+    assert rows[:3] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 4)]
+    assert rows[3:] == [cli.STABLE_ROW[:7]] * 28  # k = 4..30 and the stable row
+    assert calls == [1, 2, 3, 4]
 
 
 def test_stable_csv(capsys):

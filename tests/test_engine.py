@@ -260,8 +260,18 @@ def test_stable_counts_reference():
 
 def test_stable_counts_matches_per_n_definition():
     # Entries 10..12 lie beyond every embedded table.
-    per_n = [count_ktrees(max(n - 1, 1), n).U[n] for n in range(13)]
+    per_n = [count_ktrees(max(n - 2, 1), n).U[n] for n in range(13)]
     assert stable_counts(12) == per_n
+
+
+def test_stable_range_starts_exactly_at_n_minus_2():
+    stable = stable_counts(12)
+    # One k lower, column n is still short of the tail (by the tree count).
+    for n in range(4, 13):
+        assert count_ktrees(n - 3, n).U[n] < stable[n], n
+    # A solve at k = N-2 is the stable row through N, not just at N.
+    for order in range(3, 15):
+        assert count_ktrees(order - 2, order).U == count_ktrees(order - 1, order).U, order
 
 
 def test_stable_counts_trivial():
