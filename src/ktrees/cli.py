@@ -217,7 +217,8 @@ def _verify_reference() -> list[Check]:
     return checks
 
 
-def _verify_closedform(order: int = 30) -> list[Check]:
+def _verify_closedform() -> list[Check]:
+    order = 30
     checks: list[Check] = []
     for name, fn, k in (
         ("1-tree formula", otter_U, 1),
@@ -282,7 +283,8 @@ def _verify_oracle() -> list[Check]:
     return checks
 
 
-def _verify_dissymmetry(max_k: int = 6, order: int = 40) -> list[Check]:
+def _verify_dissymmetry() -> list[Check]:
+    max_k, order = 6, 40
     checks: list[Check] = []
     for k in range(1, max_k + 1):
         try:
@@ -297,7 +299,8 @@ def _verify_dissymmetry(max_k: int = 6, order: int = 40) -> list[Check]:
     return checks
 
 
-def _verify_stability(max_k: int = 14, max_n: int = 12) -> list[Check]:
+def _verify_stability() -> list[Check]:
+    max_k, max_n = 14, 12
     checks: list[Check] = []
     u = {k: count_ktrees(k, max_n).U for k in range(1, max_k + 1)}
     # Each detail names the first failing cell; an empty detail is a pass.

@@ -46,8 +46,9 @@ exponential recurrence, by the group order in the orbit averages) must be
 exact, and a remainder raises ``IntegralityError`` at the coefficient that
 produced it.  The results (the B, C, E aggregates, the per-type fixed counts
 and every row of :func:`count_ktrees`) are plain lists of ints, as are the
-closed forms' rows in :mod:`closedforms`; the rational :class:`Series`
-appears only in the ``c_table`` / ``bbar_table`` views.
+closed forms' rows in :mod:`closedforms`.  The rational :class:`Series`,
+a value type with no arithmetic, appears only in the ``c_table`` /
+``bbar_table`` views; the rational algebra on it is the tests' reference.
 """
 
 from __future__ import annotations

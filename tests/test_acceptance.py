@@ -18,14 +18,8 @@ from ktrees.closedforms import fourtree_U, otter_U, threetree_U, twotree_U
 from ktrees.engine import count_ktrees
 from ktrees.oracle import orbit_count
 from ktrees.partitions import partitions_of, z_of
-from ktrees.series import (
-    Series,
-    add,
-    exp_series,
-    mul,
-    scale,
-    substitute_power,
-)
+from ktrees.series import Series
+from rational_series import add, exp_series, mul, scale, substitute_power
 
 
 def report(number: int, description: str, ok: bool, started: float, detail: str = ""):

@@ -16,9 +16,8 @@ from ktrees.closedforms import (
     twotree_rooted_series,
 )
 from ktrees.engine import count_ktrees, solve_system
-from ktrees.series import (
-    IntegralityError,
-    Series,
+from ktrees.series import IntegralityError, Series
+from rational_series import (
     add,
     exp_series,
     integer_coeffs,

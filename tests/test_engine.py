@@ -23,9 +23,8 @@ from ktrees.partitions import (
     permutation_count,
     z_of,
 )
-from ktrees.series import (
-    IntegralityError,
-    Series,
+from ktrees.series import IntegralityError, Series
+from rational_series import (
     add,
     exp_series,
     integer_coeffs,

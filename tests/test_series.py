@@ -1,13 +1,12 @@
-"""Series arithmetic: pinned examples, contracts, and algebraic laws."""
+"""The rational reference algebra of `rational_series`: pinned examples, contracts, and laws."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ktrees.series import (
-    IntegralityError,
-    Series,
+from ktrees.series import IntegralityError, Series
+from rational_series import (
     add,
     exp_series,
     integer_coeffs,
