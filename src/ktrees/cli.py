@@ -28,7 +28,7 @@ import os
 import sys
 from itertools import pairwise, permutations
 from math import factorial
-from typing import Callable, Iterator, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import _stable_k, count_ktrees, solve_system, stable_counts
@@ -60,6 +60,8 @@ WORK_BUDGET = 3 * 10**7
 
 # One verification check: (name, passed, detail-for-failures)
 Check = tuple[str, bool, str]
+# One printed row of counts: (k, or "stable", its U coefficients)
+Row = tuple[int | str, list[int]]
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -120,7 +122,7 @@ def _print_counts(k: int | str, counts: list[int], fmt: str, out: TextIO) -> Non
         out.write(" ".join(str(c) for c in counts) + "\n")
 
 
-def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO) -> None:
+def _print_table(rows: list[Row], fmt: str, out: TextIO) -> None:
     if fmt == "csv":
         for _, counts in rows:
             out.write(",".join(str(c) for c in counts) + "\n")
@@ -130,21 +132,13 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 
         out.write(json.dumps([{"k": k, "counts": counts} for k, counts in rows]) + "\n")
         return
-    n_cols = len(rows[0][1])
-    labels = [str(k) for k, _ in rows]
-    label_width = max(len("k\\n"), max(len(s) for s in labels))
-    col_widths = [
-        max(len(str(n)), max(len(str(counts[n])) for _, counts in rows))
-        for n in range(n_cols)
-    ]
-    header = "k\\n".ljust(label_width) + "".join(
-        f"  {str(n).rjust(col_widths[n])}" for n in range(n_cols)
-    )
-    out.write(header + "\n")
-    for label, counts in zip(labels, (counts for _, counts in rows)):
+    grid = [["k\\n", *map(str, range(len(rows[0][1])))]]
+    grid += [[str(label), *map(str, counts)] for label, counts in rows]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    for label, *cells in grid:
         out.write(
-            label.ljust(label_width)
-            + "".join(f"  {str(c).rjust(col_widths[n])}" for n, c in enumerate(counts))
+            label.ljust(widths[0])
+            + "".join(f"  {cell.rjust(width)}" for cell, width in zip(cells, widths[1:]))
             + "\n"
         )
 
@@ -152,39 +146,36 @@ def _print_table(rows: list[tuple[int | str, list[int]]], fmt: str, out: TextIO)
 # ---------------------------------------------------------------- commands
 
 
-# U_k[n] is constant for k >= n-2, so count and table serve a larger k from
-# the one solve at k = _stable_k(order) = max(N-2, 1); the engine cannot
-# clamp, as B, C and E still vary.
+def _rows(ks: Iterable[int], order: int, stable: bool) -> list[Row]:
+    """The U rows through ``order``: one per k in ``ks``, labelled k, then
+    the stable row, labelled "stable", if ``stable`` is set.
+
+    U_k[n] is constant for k >= n-2, so each k is served by the solve at
+    min(k, _stable_k(order)), where _stable_k(order) = max(N-2, 1) is also
+    the stable row's k; the engine cannot clamp, as B, C and E still vary.
+    The distinct solves pass the work budget before the first of them runs,
+    and each runs once.
+    """
+    cap = _stable_k(order)
+    plan = [(k, min(k, cap)) for k in ks] + ([("stable", cap)] if stable else [])
+    solves = sorted({k for _, k in plan})
+    _check_budget(solves, order)
+    by_k = {k: count_ktrees(k, order).U for k in solves}
+    return [(label, by_k[k]) for label, k in plan]
+
+
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    order = args.terms - 1
-    k = min(args.k, _stable_k(order))
-    _check_budget([k], order)
-    counts = count_ktrees(k, order).U
-    _print_counts(args.k, counts, args.format, out)
+    _print_counts(*_rows([args.k], args.terms - 1, False)[0], args.format, out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
-    cap = _stable_k(args.max_n)
-    ks = list(range(1, min(args.max_k, cap) + 1))
-    if args.stable and cap > args.max_k:
-        ks.append(cap)  # the stable row is the k = cap row
-    _check_budget(ks, args.max_n)
-    by_k = {k: count_ktrees(k, args.max_n).U for k in ks}
-    rows: list[tuple[int | str, list[int]]] = [
-        (k, by_k[min(k, cap)]) for k in range(1, args.max_k + 1)
-    ]
-    if args.stable:
-        rows.append(("stable", by_k[cap]))
-    _print_table(rows, args.format, out)
+    _print_table(_rows(range(1, args.max_k + 1), args.max_n, args.stable), args.format, out)
     return 0
 
 
 def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
-    order = args.terms - 1
-    _check_budget([_stable_k(order)], order)
-    counts = stable_counts(order)
-    _print_counts("stable", counts, args.format, out)
+    _print_counts(*_rows([], args.terms - 1, True)[0], args.format, out)
     return 0
 
 
@@ -192,25 +183,18 @@ def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _verify_reference() -> list[Check]:
+    rows = [(f"row k={k}", count_ktrees(k, 9).U, row) for k, row in REFERENCE_COUNTS.items()]
+    rows.append(("stable row", stable_counts(9), STABLE_ROW))
     checks: list[Check] = []
     cells_ok = 0
-    for k, expected in REFERENCE_COUNTS.items():
-        got = count_ktrees(k, 9).U
+    for name, got, expected in rows:
         matches = sum(1 for a, b in zip(got, expected) if a == b)
         cells_ok += matches
         checks.append(
-            (f"reference: row k={k} matches embedded table ({matches}/10 cells)",
+            (f"reference: {name} matches embedded table ({matches}/10 cells)",
              got == expected,
              f"got {got}")
         )
-    got_stable = stable_counts(9)
-    matches = sum(1 for a, b in zip(got_stable, STABLE_ROW) if a == b)
-    cells_ok += matches
-    checks.append(
-        (f"reference: stable row matches embedded table ({matches}/10 cells)",
-         got_stable == STABLE_ROW,
-         f"got {got_stable}")
-    )
     checks.append(
         (f"reference: {cells_ok}/60 grid cells match", cells_ok == 60, "")
     )
@@ -456,20 +440,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--k", type=_int_at_least(1), required=True, help="k-tree parameter")
     p_count.add_argument("--terms", type=_int_at_least(1), default=10,
                          help="number of coefficients (n = 0..terms-1)")
-    p_count.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_count.set_defaults(func=_cmd_count)
 
     p_table = sub.add_parser("table", help="print the counts grid for k = 1..max-k")
     p_table.add_argument("--max-k", type=_int_at_least(1), required=True)
     p_table.add_argument("--max-n", type=_int_at_least(0), required=True)
     p_table.add_argument("--stable", action="store_true", help="append the stable row")
-    p_table.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_table.set_defaults(func=_cmd_table)
 
     p_stable = sub.add_parser("stable", help="print the k-independent tail values")
     p_stable.add_argument("--terms", type=_int_at_least(1), default=10)
-    p_stable.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_stable.set_defaults(func=_cmd_stable)
+
+    for p_rows in (p_count, p_table, p_stable):
+        p_rows.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p_verify = sub.add_parser("verify", help="run consistency suites")
     p_verify.add_argument("--mode", choices=(*_SUITES, "all"), default="all")
@@ -492,7 +476,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -110,6 +110,25 @@ PINNED_OUTPUTS = [
         ("verify", "--mode", "all"),
         "099d6677a4dac70c98e5a9daec73b3cefefac35137f005e646fefa59b37b2d49",
     ),
+    # The three row commands' shared planner and both printers: a plain grid
+    # whose columns differ in width, rows clamped to the stable solve, the
+    # stable row as JSON, and a count clamped from k = 40.
+    (
+        ("table", "--max-k", "8", "--max-n", "9", "--stable"),
+        "400f271330f8e55f0036a220082ecc3f7bac761a23c990c67589a0e48bf37562",
+    ),
+    (
+        ("table", "--max-k", "30", "--max-n", "6", "--stable", "--format", "json"),
+        "13ce506d1d94be6edd15f9449e9660329be8a807af4feb8c17489323419113c8",
+    ),
+    (
+        ("stable", "--terms", "12", "--format", "json"),
+        "eca27974f6dbd1056bcecc3cf414c10851ca55e7575c6f3a255b916ede8b7942",
+    ),
+    (
+        ("count", "--k", "40", "--terms", "8"),
+        "ae3e51b3cd4b06b47f2e2c5bc3ff480952a5834e0e9bb611ace761f2a96a1736",
+    ),
 ]
 
 
