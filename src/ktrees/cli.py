@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import pairwise, permutations
+from itertools import pairwise, permutations, zip_longest
 from math import factorial
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -182,63 +182,68 @@ def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _check(name: str, failures: Iterable[str]) -> Check:
+    """The check ``name``: it passes when ``failures`` yields nothing and
+    otherwise fails with the first item as its detail.
+
+    ``failures`` yields one detail for each failing cell, in the order the
+    cells are checked, so a FAIL line's bracketed detail names the first
+    failing cell; an empty detail prints no brackets.  The one exception is
+    the 2-tree rooted pair, whose single failure names the first differing
+    degree of each series.
+    """
+    detail = next(iter(failures), None)
+    return (name, detail is None, detail or "")
+
+
+def _mismatches(a: Sequence, b: Sequence) -> list[int]:
+    """The indices where ``a`` and ``b`` differ, a missing term differing
+    from every term: the shorter list mismatches from its own length on."""
+    return [i for i, (x, y) in enumerate(zip_longest(a, b)) if x != y]
+
+
 def _verify_reference() -> list[Check]:
     rows = [(f"row k={k}", count_ktrees(k, 9).U, row) for k, row in REFERENCE_COUNTS.items()]
     rows.append(("stable row", stable_counts(9), STABLE_ROW))
-    checks: list[Check] = []
-    cells_ok = 0
-    for name, got, expected in rows:
-        matches = sum(1 for a, b in zip(got, expected) if a == b)
-        cells_ok += matches
-        checks.append(
-            (f"reference: {name} matches embedded table ({matches}/10 cells)",
-             got == expected,
-             f"got {got}")
-        )
+    matches = [sum(a == b for a, b in zip(got, expected)) for _, got, expected in rows]
+    checks = [
+        _check(f"reference: {name} matches embedded table ({m}/10 cells)",
+               [f"got {got}"] if got != expected else [])
+        for (name, got, expected), m in zip(rows, matches)
+    ]
+    cells_ok = sum(matches)
     checks.append(
-        (f"reference: {cells_ok}/60 grid cells match", cells_ok == 60, "")
+        _check(f"reference: {cells_ok}/60 grid cells match", [""] if cells_ok != 60 else [])
     )
     return checks
 
 
 def _verify_closedform() -> list[Check]:
     order = 30
-    checks: list[Check] = []
-    for name, fn, k in (
-        ("1-tree formula", otter_U, 1),
-        ("2-tree formula", twotree_U, 2),
-        ("3-tree formula", threetree_U, 3),
-        ("4-tree formula", fourtree_U, 4),
-    ):
-        closed = fn(order)
-        eng = count_ktrees(k, order).U
-        checks.append(
-            (f"closedform: {name} == engine through order {order}",
-             closed == eng,
-             f"first difference at n={_first_difference(closed, eng)}")
+    checks = [
+        _check(f"closedform: {name} == engine through order {order}",
+               (f"first difference at n={n}"
+                for n in _mismatches(fn(order), count_ktrees(k, order).U)))
+        for name, fn, k in (
+            ("1-tree formula", otter_U, 1),
+            ("2-tree formula", twotree_U, 2),
+            ("3-tree formula", threetree_U, 3),
+            ("4-tree formula", fourtree_U, 4),
         )
+    ]
     d, s = twotree_rooted_series(order)
     cache = solve_system(2, order)
-    pair_details = [
-        f"{label} differs at degree {_first_difference(closed, eng)}"
-        for label, closed, eng in (
-            ("D", d, cache.c[(1, 1)]),
-            ("S", s, cache.c[(2,)]),
-        )
-        if closed != eng
+    pair = [
+        f"{label} differs at degree {at[0]}"
+        for label, at in (("D", _mismatches(d, cache.c[(1, 1)])),
+                          ("S", _mismatches(s, cache.c[(2,)])))
+        if at
     ]
     checks.append(
-        (f"closedform: 2-tree rooted pair == engine per-type series through order {order}",
-         not pair_details,
-         "; ".join(pair_details))
+        _check(f"closedform: 2-tree rooted pair == engine per-type series through order {order}",
+               ["; ".join(pair)] if pair else [])
     )
     return checks
-
-
-def _first_difference(a: Sequence, b: Sequence) -> int:
-    """The first index where ``a`` and ``b`` differ: where their common
-    prefix ends, so the shorter length if one is a prefix of the other."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _verify_oracle() -> list[Check]:
@@ -246,24 +251,16 @@ def _verify_oracle() -> list[Check]:
     for k in range(1, MAX_K + 1):
         engine_u = count_ktrees(k, MAX_N).U
         perms = list(permutations(range(1, k + 2)))
-        # Each detail names the first failing n; an empty detail is a pass.
-        orbit_detail = ""
-        burnside_detail = ""
-        for n in range(MAX_N + 1):
-            orbits = orbit_count(k, n)
-            if orbits != engine_u[n] and not orbit_detail:
-                orbit_detail = f"n={n}: oracle {orbits} vs engine {engine_u[n]}"
-            fixed_total = sum(fixed_count(k, n, pi) for pi in perms)
-            if fixed_total != orbits * factorial(k + 1) and not burnside_detail:
-                burnside_detail = f"n={n}: sum fix = {fixed_total}, orbits = {orbits}"
-        checks.append(
-            (f"oracle: orbit counts == engine for k={k}, n<={MAX_N}",
-             not orbit_detail, orbit_detail)
-        )
-        checks.append(
-            (f"oracle: Burnside identity for k={k}, n<={MAX_N}",
-             not burnside_detail, burnside_detail)
-        )
+        orbits = [orbit_count(k, n) for n in range(MAX_N + 1)]
+        fixed = [sum(fixed_count(k, n, pi) for pi in perms) for n in range(MAX_N + 1)]
+        checks += [
+            _check(f"oracle: orbit counts == engine for k={k}, n<={MAX_N}",
+                   (f"n={n}: oracle {orbits[n]} vs engine {engine_u[n]}"
+                    for n in _mismatches(orbits, engine_u))),
+            _check(f"oracle: Burnside identity for k={k}, n<={MAX_N}",
+                   (f"n={n}: sum fix = {total}, orbits = {orbits[n]}"
+                    for n, total in enumerate(fixed) if total != orbits[n] * factorial(k + 1))),
+        ]
     return checks
 
 
@@ -274,39 +271,27 @@ def _verify_dissymmetry() -> list[Check]:
         try:
             bundle = count_ktrees(k, order)  # raises on a non-integer or negative count
         except (IntegralityError, ArithmeticError) as exc:
-            checks.append((f"dissymmetry: U = B + C - E for k={k}, N={order}", False, str(exc)))
-            continue
-        ok = all(
-            bundle.U[n] == bundle.B[n] + bundle.C[n] - bundle.E[n] for n in range(order + 1)
-        )
-        checks.append((f"dissymmetry: U = B + C - E for k={k}, N={order}", ok, ""))
+            failures = [str(exc)]
+        else:
+            failures = ["" for n in range(order + 1)
+                        if bundle.U[n] != bundle.B[n] + bundle.C[n] - bundle.E[n]]
+        checks.append(_check(f"dissymmetry: U = B + C - E for k={k}, N={order}", failures))
     return checks
 
 
 def _verify_stability() -> list[Check]:
     max_k, max_n = 14, 12
-    checks: list[Check] = []
     u = {k: count_ktrees(k, max_n).U for k in range(1, max_k + 1)}
-    # Each detail names the first failing cell; an empty detail is a pass.
-    detail = ""
-    for n in range(max_n + 1):
-        for k in range(max(n - 1, 2), max_k + 1):
-            if u[k][n] != u[k - 1][n] and not detail:
-                detail = f"n={n}, k={k}: {u[k][n]} != {u[k - 1][n]}"
-    checks.append(
-        (f"stability: counts constant for k >= n-1 (n<={max_n}, k<={max_k})",
-         not detail, detail)
-    )
-    detail = ""
-    for n in range(4, max_n + 1):
-        lhs = u[n - 2][n] - u[n - 3][n]
-        rhs = u[1][n - 1]
-        if lhs != rhs and not detail:
-            detail = f"n={n}: {lhs} != {rhs}"
-    checks.append(
-        (f"stability: last jump equals tree count (4<=n<={max_n})", not detail, detail)
-    )
-    return checks
+    jump = {n: u[n - 2][n] - u[n - 3][n] for n in range(4, max_n + 1)}
+    return [
+        _check(f"stability: counts constant for k >= n-1 (n<={max_n}, k<={max_k})",
+               (f"n={n}, k={k}: {u[k][n]} != {u[k - 1][n]}"
+                for n in range(max_n + 1)
+                for k in range(max(n - 1, 2), max_k + 1)
+                if u[k][n] != u[k - 1][n])),
+        _check(f"stability: last jump equals tree count (4<=n<={max_n})",
+               (f"n={n}: {j} != {u[1][n - 1]}" for n, j in jump.items() if j != u[1][n - 1])),
+    ]
 
 
 _SUITES: dict[str, Callable[[], list[Check]]] = {

@@ -22,7 +22,6 @@ Every result is a plain ``list[int]``, like the engine's rows.
 from __future__ import annotations
 
 import operator
-from math import gcd
 from typing import Callable
 
 from .series import IntegralityError
@@ -40,8 +39,7 @@ def _divide(num: int, den: int, where: str) -> int:
     naming ``where``."""
     quotient, remainder = divmod(num, den)
     if remainder:
-        g = gcd(num, den)
-        raise IntegralityError(f"{where}: {num // g}/{den // g} is not an integer")
+        raise IntegralityError.for_quotient(where, num, den)
     return quotient
 
 

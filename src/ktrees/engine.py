@@ -141,11 +141,6 @@ def _powers(mu: Partition, order: int) -> list[Partition]:
     return [mu] + [by_gcd[gcd(m, period)] for m in range(1, order + 1)]
 
 
-def _not_integer(where: str, num: int, den: int) -> IntegralityError:
-    g = gcd(num, den)
-    return IntegralityError(f"{where}: {num // g}/{den // g} is not an integer")
-
-
 def _exp_step(g: list[int], series: list[int], shift: int, where: str) -> None:
     """Append the next coefficient of ``series`` = x^shift * G, G = exp(L).
 
@@ -159,7 +154,7 @@ def _exp_step(g: list[int], series: list[int], shift: int, where: str) -> None:
     total = sum(map(operator.mul, g[1:], reversed(series)))
     quotient, remainder = divmod(total, d - shift)
     if remainder:
-        raise _not_integer(f"{where}, degree {d}", total, d - shift)
+        raise IntegralityError.for_quotient(f"{where}, degree {d}", total, d - shift)
     series.append(quotient)
 
 
@@ -265,7 +260,7 @@ def _orbit_average(
     for n, num in enumerate(total):
         quotient, remainder = divmod(num, group)
         if remainder:
-            raise _not_integer(f"k={cache.k}, {name}, degree {n}", num, group)
+            raise IntegralityError.for_quotient(f"k={cache.k}, {name}, degree {n}", num, group)
         out.append(quotient)
     return out
 

@@ -11,6 +11,7 @@ it is the tests' independent reference and lives with the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 
@@ -23,6 +24,13 @@ class IntegralityError(ValueError):
     signals a bug in the calling computation (counting series must have
     integer coefficients), never bad user input.
     """
+
+    @classmethod
+    def for_quotient(cls, where: str, num: int, den: int) -> IntegralityError:
+        """The error for the inexact quotient ``num`` / ``den`` at ``where``,
+        the fraction in lowest terms."""
+        g = gcd(num, den)
+        return cls(f"{where}: {num // g}/{den // g} is not an integer")
 
 
 class Series:

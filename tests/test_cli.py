@@ -177,6 +177,69 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def _zeroed_reference_row(monkeypatch):
+    monkeypatch.setitem(cli.REFERENCE_COUNTS, 1, [0] * 10)
+
+
+def _tree_count_off_at_7(monkeypatch):
+    def bumped(k, order):
+        bundle = count_ktrees(k, order)
+        if k != 1:
+            return bundle
+        u = [u + (n == 7) for n, u in enumerate(bundle.U)]
+        return engine.ResultBundle(k, order, u, bundle.B, bundle.C, bundle.E)
+
+    monkeypatch.setattr(cli, "count_ktrees", bumped)
+
+
+def _identity_fixes_one_more_at_k3_n5(monkeypatch):
+    def bumped(k, n, perm):
+        return oracle.fixed_count(k, n, perm) + ((k, n, tuple(perm)) == (3, 5, (1, 2, 3, 4)))
+
+    monkeypatch.setattr(cli, "fixed_count", bumped)
+
+
+def _one_tree_formula_one_term_long(monkeypatch):
+    monkeypatch.setattr(cli, "otter_U", lambda order: otter_U(order) + [0])
+
+
+# Each fault, the suite that sees it, and every FAIL line that suite prints.
+FAILURE_LINES = [
+    (
+        _zeroed_reference_row,
+        "reference",
+        [
+            "FAIL reference: row k=1 matches embedded table (0/10 cells)"
+            " [got [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]]",
+            "FAIL reference: 50/60 grid cells match",
+        ],
+    ),
+    (
+        _tree_count_off_at_7,
+        "stability",
+        ["FAIL stability: last jump equals tree count (4<=n<=12) [n=8: 23 != 24]"],
+    ),
+    (
+        _identity_fixes_one_more_at_k3_n5,
+        "oracle",
+        ["FAIL oracle: Burnside identity for k=3, n<=6 [n=5: sum fix = 361, orbits = 15]"],
+    ),
+    (
+        _one_tree_formula_one_term_long,
+        "closedform",
+        ["FAIL closedform: 1-tree formula == engine through order 30 [first difference at n=31]"],
+    ),
+]
+
+
+@pytest.mark.parametrize("plant, mode, fails", FAILURE_LINES)
+def test_a_planted_fault_prints_exactly_its_fail_lines(capsys, monkeypatch, plant, mode, fails):
+    plant(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--mode", mode)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == fails
+
+
 def test_oracle_failures_each_name_their_own_detail(capsys, monkeypatch):
     # Both lines name the first failing n, not the last.
     def shifted(k, n):
@@ -228,9 +291,6 @@ def test_twotree_pair_failure_names_the_series_and_degree(capsys, monkeypatch):
 
 
 def test_a_closed_form_of_the_wrong_length_names_where_it_ends(capsys, monkeypatch):
-    assert cli._first_difference([1, 2, 3], [1, 2]) == 2
-    assert cli._first_difference([], [1]) == 0
-    assert cli._first_difference([1, 5, 3], [1, 2]) == 1
     monkeypatch.setattr(cli, "otter_U", lambda order: otter_U(order)[:-1])
     code, out, _ = run_cli(capsys, "verify", "--mode", "closedform")
     assert code == 1
