@@ -6,9 +6,11 @@ Subcommands
     stable  the k-independent tail values
     verify  consistency suites against embedded reference data, the closed
             forms, the brute-force oracle, and the structural identities;
-            when the process may use more than one CPU, ``--mode all``
-            runs the suites concurrently in forked workers and prints the
-            same lines in the same order
+            when the process may fork and use more than one CPU,
+            ``--mode all`` runs every suite but the last in a forked
+            worker, and otherwise runs every suite in-process; either way
+            each suite has run before the first line is printed, and the
+            lines and their order are the same
 
 Counts are indexed by the number of hedra n; a k-tree with n hedra has
 n + k vertices.  For cross-reference, the rows k = 1..5 and the stable row
@@ -28,7 +30,7 @@ import os
 import sys
 from itertools import pairwise, permutations, zip_longest
 from math import factorial
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import _stable_k, count_ktrees, solve_system, stable_counts
@@ -84,27 +86,25 @@ class _QueryTooLarge(Exception):
 
 
 def _check_budget(ks: list[int], order: int) -> None:
-    """Refuse, before any solve, the solves of ``ks`` at ``order`` if their
-    summed (p(k+1) + 2 * p(k)) * order^2 * f exceeds WORK_BUDGET.
+    """Refuse, before any solve, the distinct solves of ``ks`` at ``order``
+    if their summed (p(k+1) + 2 * p(k)) * order^2 * f exceeds WORK_BUDGET.
 
-    The estimate only grows with k, so every k not yet reached costs at
-    least the current one; the scan stops once that lower bound is over,
-    long before a large k.
+    One scan over k = 0, 1, ... adds each solve's estimate as it passes it
+    and stops at max(ks).  The estimate only grows with k, so the scan
+    refuses as soon as the running sum or the current k's estimate is over:
+    every later solve costs at least as much.  A query with a large k is
+    refused long before the scan reaches it.
     """
-    pending = sorted(ks)
-    work = 0.0
+    top, work = max(ks), 0.0
     for m, (p, p_next) in enumerate(pairwise(partition_numbers())):
-        growth = 1 + order * (m.bit_length() + 1) / 4096
-        unit = (p_next + 2 * p) * order * order * growth
-        while pending and pending[0] == m:
-            work += unit
-            pending.pop(0)
-        if work + len(pending) * unit > WORK_BUDGET:
+        unit = (p_next + 2 * p) * order * order * (1 + order * (m.bit_length() + 1) / 4096)
+        work += unit if m in ks else 0
+        if max(work, unit) > WORK_BUDGET:
             raise _QueryTooLarge(
                 "query refused: its work estimate (p(k+1)+2p(k))*N^2*f"
-                f" (N = {order}, k up to {max(ks)}) exceeds the budget of {WORK_BUDGET}"
+                f" (N = {order}, k up to {top}) exceeds the budget of {WORK_BUDGET}"
             )
-        if not pending:
+        if m == top:
             return
 
 
@@ -311,33 +311,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _suite_results(modes: list[str]) -> Iterator[list[Check]]:
-    """Yield the checks of each suite in ``modes``, in order; a suite that
-    raised has its exception raised in its place.
+def _outcome(mode: str) -> list[Check] | Exception:
+    """The checks of one suite, or the exception it raised."""
+    try:
+        return _SUITES[mode]()
+    except Exception as exc:
+        return exc
 
-    The suites share no results, so with more than one suite and more than
-    one usable CPU every suite but the last runs in a forked child while
-    this process runs the last.  Each child sends back its checks, or the
-    exception it raised, pickled over a pipe.  A child that ends without a
-    result raises RuntimeError naming its suite.  Every child is reaped
-    before this returns or raises.  A process with a second thread never
-    forks: the child could inherit a lock held by a thread it lacks.
+
+def _outcomes(modes: list[str]) -> Iterator[list[Check] | Exception]:
+    """Yield the outcome of each suite in ``modes``, in order: its checks,
+    or the exception it raised.  Every suite has run before the first
+    outcome is yielded.
+
+    The suites share no results.  When this process may fork (``os.fork``
+    exists, it may use more than one CPU, and it runs no second thread)
+    every suite but the last runs in a forked child while this process
+    runs the last; otherwise this process runs every suite itself.  Each
+    child sends back its outcome pickled over a pipe, and exits 0 only once
+    it is written; a child that ends without one raises RuntimeError naming
+    its suite.  Every child is reaped before this returns, raises or is
+    closed, as it is when the caller drops it to raise an outcome.  A
+    process with a second thread never forks: the child could inherit a
+    lock held by a thread it lacks.
     """
     threading = sys.modules.get("threading")
-    if (
-        len(modes) == 1
-        or not hasattr(os, "fork")
-        or _usable_cpus() == 1
-        or (threading is not None and threading.active_count() > 1)
-    ):
-        for mode in modes:
-            yield _SUITES[mode]()
-        return
-    import pickle  # here, not at the top: only a forking run needs it
-
+    may_fork = (
+        hasattr(os, "fork")
+        and _usable_cpus() > 1
+        and (threading is None or threading.active_count() == 1)
+    )
+    forked = modes[:-1] if may_fork else []
+    if forked:
+        import pickle  # here, not at the top: only a forking run needs it
     workers: list[tuple[str, int, int]] = []  # (mode, pid, read end of its pipe)
     try:
-        for mode in modes[:-1]:
+        for mode in forked:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -345,12 +354,17 @@ def _suite_results(modes: list[str]) -> Iterator[list[Check]]:
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
-            if pid == 0:
-                os.close(read_fd)
-                _serve_suite(mode, write_fd)
+            if pid == 0:  # the child never returns to the caller's stack
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_outcome(mode), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             os.close(write_fd)
             workers.append((mode, pid, read_fd))
-        own = _outcome(modes[-1])
+        own = [_outcome(mode) for mode in modes[len(forked):]]
         while workers:
             mode, pid, read_fd = workers.pop(0)
             with open(read_fd, "rb") as pipe:
@@ -360,48 +374,21 @@ def _suite_results(modes: list[str]) -> Iterator[list[Check]]:
                 raise RuntimeError(
                     f"verify suite {mode!r} ended without a result (exit status {status})"
                 )
-            yield _raise_if_exception(pickle.loads(payload))
-        yield _raise_if_exception(own)
+            yield pickle.loads(payload)
+        yield from own
     finally:
         for _, pid, read_fd in workers:
             os.close(read_fd)
             os.waitpid(pid, 0)
 
 
-def _serve_suite(mode: str, write_fd: int) -> NoReturn:
-    """In a forked child: run one suite, pickle its checks or its exception
-    to ``write_fd``, and leave without returning to the caller's stack.
-    The exit status is 0 only once the result is written."""
-    import pickle
-
-    status = 1
-    try:
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(_outcome(mode), pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _outcome(mode: str) -> list[Check] | Exception:
-    """The checks of one suite, or the exception it raised."""
-    try:
-        return _SUITES[mode]()
-    except Exception as exc:
-        return exc
-
-
-def _raise_if_exception(outcome: list[Check] | Exception) -> list[Check]:
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     modes = list(_SUITES) if args.mode == "all" else [args.mode]
     failures = 0
-    for checks in _suite_results(modes):
-        for name, passed, detail in checks:
+    for outcome in _outcomes(modes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        for name, passed, detail in outcome:
             if passed:
                 out.write(f"PASS {name}\n")
             else:

@@ -111,31 +111,6 @@ def drop_one_fixed_point(lam: Partition) -> Partition | None:
     return None
 
 
-def permutation_cycle_type(perm: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation given as a 1-based image tuple.
-
-    ``perm[i-1]`` is the image of ``i``; entries must be a rearrangement of
-    1..len(perm).
-    """
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    seen = [False] * (n + 1)
-    parts = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j - 1]
-            length += 1
-        parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
 def permutation_count(lam: Partition) -> int:
     """Number of permutations with cycle type ``lam`` in S_(sum lam)."""
     return factorial(sum(lam)) // z_of(lam)

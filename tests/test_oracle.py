@@ -20,7 +20,8 @@ from ktrees.oracle import (
     fixed_count,
     orbit_count,
 )
-from ktrees.partitions import permutation_cycle_type
+
+from cycle_types import permutation_cycle_type
 
 
 def test_single_hedron_is_forced():
