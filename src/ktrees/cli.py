@@ -55,9 +55,10 @@ STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
 # (p(k+1) + 2 * p(k)) * N^2 integer multiply-adds.  Its coefficients stay
 # under N * (k.bit_length() + 1) bits, and a multiply-add costs more as they
 # grow, so the estimate weighs each by f = 1 + bits / 4096.  On a 2-core
-# host with Python 3.11, solves on the budget's edge took 4-11 s: (1, 1958)
-# 6.9 s, (2, 1443) 10.8 s, (5, 816) 7.3 s and (12, 294) 4.3 s; (30, 31)
-# costs 1.8 * 10^7 and took 4.0 s.
+# host with Python 3.11, solves on the budget's edge took 3-9 s (medians of
+# three fresh processes, one session): (1, 1958) 6.1 s, (2, 1443) 7.5 s,
+# (3, 1203) 8.5 s, (5, 816) 4.7 s and (12, 294) 3.2 s; (30, 31) costs
+# 1.8 * 10^7 and took 2.0 s.
 WORK_BUDGET = 3 * 10**7
 
 # One verification check: (name, passed, detail-for-failures)

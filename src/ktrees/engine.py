@@ -35,7 +35,12 @@ is also E's mu-term.  Each factor C_nu(x^i) is an exponential whose
 log-derivative the solve keeps, so Bbar_mu / x and every B_lam / x are
 exponentials too, of the sum of their factors' log-derivatives.  C_mu,
 Bbar_mu and B_lam therefore all grow by one shared exact-division step of
-the Euler-transform recurrence, and each product is built once.
+the Euler-transform recurrence, and each product is built once.  The
+log-derivatives are kept from their x^1 term on, so a step is one dot
+product against its series read backwards and one exact division.  All
+the bookkeeping around it (which tables a log-derivative term reads, with
+what weight) is settled once per solve, and each degree's terms are summed
+a column at a time across all series of a kind.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -53,9 +58,11 @@ a value type with no arithmetic, appears only in the ``c_table`` /
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, itemgetter, mul
+from typing import Iterable
 
 from .partitions import (
     Partition,
@@ -141,21 +148,27 @@ def _powers(mu: Partition, order: int) -> list[Partition]:
     return [mu] + [by_gcd[gcd(m, period)] for m in range(1, order + 1)]
 
 
-def _exp_step(g: list[int], series: list[int], shift: int, where: str) -> None:
-    """Append the next coefficient of ``series`` = x^shift * G, G = exp(L).
+def _euler_steps(
+    steps: list[tuple[list[int], list[int], str, Partition]], column: Iterable[int], n: int
+) -> None:
+    """Append the x^n coefficient of G = exp(L) to every series of ``steps``.
 
-    ``g`` is the log-derivative x L'(x) of the exponent, read through the
-    degree n = len(series) - shift of G being produced; G[0] = 1 must already
-    be in ``series``.  The Euler-transform recurrence
-    n * G[n] = sum_{j=1..n} g[j] * G[n-j] must divide exactly: a remainder
-    raises IntegralityError at ``where`` and the degree len(series).
+    ``steps`` holds (g, series, where, type) entries.  ``g`` is the
+    log-derivative x L'(x) of the exponent from j = 1 on (g[j - 1] is its
+    x^j term), and it first takes its x^n term from ``column``.  ``series``
+    is x^shift * G, holding G through degree n - 1.  The Euler-transform
+    recurrence n * G[n] = sum_{j=1..n} g[j] * G[n-j] must divide exactly: a
+    remainder raises IntegralityError at ``where``, the type and the degree
+    len(series) of the coefficient being produced, a location formatted
+    only then.
     """
-    d = len(series)
-    total = sum(map(operator.mul, g[1:], reversed(series)))
-    quotient, remainder = divmod(total, d - shift)
-    if remainder:
-        raise IntegralityError.for_quotient(f"{where}, degree {d}", total, d - shift)
-    series.append(quotient)
+    for (g, series, where, key), value in zip(steps, column):
+        g.append(value)
+        total = sum(map(mul, g, reversed(series)))
+        quotient, remainder = divmod(total, n)
+        if remainder:
+            raise IntegralityError.for_quotient(f"{where}{key}, degree {len(series)}", total, n)
+        series.append(quotient)
 
 
 def solve_system(k: int, order: int) -> SeriesCache:
@@ -164,18 +177,23 @@ def solve_system(k: int, order: int) -> SeriesCache:
     Online solve on Python ints, one new coefficient of every series per
     degree, starting from C_mu = 1 (the bare colored root) and
     Bbar_mu = B_lam = x (the bare black root).  Every series is one
-    exponential grown by :func:`_exp_step`, each from a log-derivative the
-    solve already knows:
+    exponential grown by :func:`_euler_steps`, each from a log-derivative
+    the solve keeps from its x^1 term on (entry j - 1 is the x^j term):
 
     * C_mu = exp(sum_m Bbar_{mu^m}(x^m) / m) has the log-derivative
       a_mu[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m], so C_mu[d] needs
-      Bbar only through degree d.
+      Bbar only through degree d.  For each m <= order the solve lists the
+      Bbar_{mu^m} table of every mu once, so a degree reads one column per
+      divisor m and looks up no cycle type.
     * Bbar_mu / x and B_lam / x are products of factors C_nu(x^i), one per
       part i, with nu = mu^i for Bbar_mu and nu = lam^i minus one fixed
-      point for B_lam.  Their log-derivative at degree n is the sum over
+      point for B_lam, which is mu^i again when lam = mu + (1,) and is read
+      off mu's powers.  Their log-derivative at degree n is the sum over
       distinct parts i | n of (multiplicity of i) * i * a_nu[n/i], so
-      degree d+1 of Bbar and B needs C only through d.  A product of one
-      part is C_nu(x^i) itself and is read off C.
+      degree d+1 of Bbar and B needs C only through d.  For each part i the
+      solve lists every product's weight and a_nu once, so a degree reads
+      one column per part i | n.  A product of one part is C_nu(x^i)
+      itself and is read off C.
 
     Every division must be exact, and a remainder raises IntegralityError
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
@@ -197,44 +215,63 @@ def solve_system(k: int, order: int) -> SeriesCache:
     c: dict[Partition, list[int]] = {mu: [1] for mu in mus}
     bbar: dict[Partition, list[int]] = {mu: [0, 1][: order + 1] for mu in mus}
     b: dict[Partition, list[int]] = {lam: [0, 1][: order + 1] for lam in lams}
-    # log_deriv[mu][j] = a[j] = j * [x^j] log C_mu; entry 0 is unused.
-    log_deriv: dict[Partition, list[int]] = {mu: [0] for mu in mus}
-    # One (log-derivative, series, powers, label) per mu, where powers[m] is
-    # the cycle type of pi^m for pi of type mu, m <= order.
-    steps = [(log_deriv[mu], c[mu], _powers(mu, order), f"k={k}, mu={mu}") for mu in mus]
+    # log_deriv[mu][j - 1] = a_mu[j] = j * [x^j] log C_mu, for j >= 1.
+    log_deriv: dict[Partition, list[int]] = {mu: [] for mu in mus}
+    # powers[mu][m] is the cycle type of pi^m for pi of type mu, m <= order.
+    powers = {mu: _powers(mu, order) for mu in mus}
+    where_c, where_bbar, where_b = f"k={k}, mu=", f"k={k}, Bbar, mu=", f"k={k}, B, lam="
+    c_steps = [(log_deriv[mu], c[mu], where_c, mu) for mu in mus]
+    # by_power[m][s] is the Bbar table of mus[s]^m (m = 0 unused).
+    by_power = [[bbar[powers[mu][m]] for mu in mus] for m in range(order + 1)]
 
-    # Bbar_mu / x and B_lam / x are products with one factor C_nu(x^i) per
-    # part i, where nu = nus[lam][i] is lam^i minus one fixed point.  For
-    # Bbar_mu that is nus[mu + (1,)][i] = mu^i, over the parts of mu only.
-    nus = {
-        lam: {i: drop_one_fixed_point(cycle_power(lam, i)) for i in set(lam)}
-        for lam in lams
-    }
-    products = [(bbar[mu], mu, nus[mu + (1,)], f"k={k}, Bbar, mu={mu}") for mu in mus]
-    products += [(b[lam], lam, nus[lam], f"k={k}, B, lam={lam}") for lam in lams]
-    # One-part products as (series, C_nu, i); the others as (log-derivative,
-    # series, (multiplicity * i, i, a_nu) per distinct part i, label).
-    one_part, product_steps = [], []
-    for series, parts, nu, where in products:
+    # Products as (where, series, parts, mu).  The factor of part i is
+    # C_nu(x^i) with nu = mu^i, or lam^i minus one fixed point when lam has
+    # none (mu is None).  Parts i >= order divide no degree below order.
+    products = [(where_bbar, bbar[mu], mu, mu) for mu in mus]
+    products += [(where_b, b[lam], lam, drop_one_fixed_point(lam)) for lam in lams]
+    one_part, steps = [], []
+    # Part i's column: each product's weight (multiplicity * i) and the a_nu
+    # it scales, with weight 0 on a zero source where i is no part of it.
+    columns: dict[int, tuple[list[int], list[list[int]]]] = {}
+    unused = [0] * order
+    for where, series, parts, mu in products:
+        nus = {
+            i: powers[mu][i] if mu is not None else drop_one_fixed_point(cycle_power(parts, i))
+            for i in set(parts)
+            if i < order
+        }
         if len(parts) == 1:
-            one_part.append((series, c[nu[parts[0]]], parts[0]))
-        else:
-            terms = [(parts.count(i) * i, i, log_deriv[nu[i]]) for i in set(parts)]
-            product_steps.append(([0], series, terms, where))
+            # C_nu(x^i) itself, with no term to read when i >= order.
+            one_part.append((series, c[nus[parts[0]]] if nus else None, parts[0]))
+            continue
+        for i, nu in nus.items():
+            if i not in columns:
+                columns[i] = ([0] * len(products), [unused] * len(products))
+            weights, sources = columns[i]
+            weights[len(steps)] = parts.count(i) * i
+            sources[len(steps)] = log_deriv[nu]
+        steps.append(([], series, where, parts))
 
+    # Each log-derivative term is summed a column at a time, lazily: a_d and
+    # g_d yield one value per step as _euler_steps takes it.
     for d in range(1, order + 1):
-        for a, c_mu, powers, where in steps:
-            # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
-            # only through divisors m of d, since Bbar has no constant term.
-            a.append(sum((d // m) * bbar[powers[m]][d // m] for m in divs[d]))
-            _exp_step(a, c_mu, 0, where)
+        # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
+        # only through divisors m of d, since Bbar has no constant term.
+        a_d: Iterable[int] = repeat(0)
+        for m in divs[d]:
+            q = d // m
+            a_d = map(add, a_d, map(q.__mul__, map(itemgetter(q), by_power[m])))
+        _euler_steps(c_steps, a_d, d)
         if d < order:
             # Degree d+1 of Bbar and B is degree d of a product of C factors.
             for series, c_nu, i in one_part:
                 series.append(0 if d % i else c_nu[d // i])
-            for g, series, terms, where in product_steps:
-                g.append(sum(w * a_nu[d // i] for w, i, a_nu in terms if d % i == 0))
-                _exp_step(g, series, 1, where)
+            g_d: Iterable[int] = repeat(0)
+            for i, (weights, sources) in columns.items():
+                if d % i == 0:
+                    terms = map(itemgetter(d // i - 1), sources)
+                    g_d = map(add, g_d, map(mul, weights, terms))
+            _euler_steps(steps, g_d, d)
 
     return SeriesCache(k=k, order=order, c=c, bbar=bbar, b=b)
 
@@ -249,15 +286,11 @@ def _orbit_average(
     size!/z_lam, the weights add up to the group order size!, and the one
     division by it per coefficient must be exact.
     """
-    total = [0] * (cache.order + 1)
-    group = 0
-    for lam, coeffs in fixed.items():
-        weight = permutation_count(lam)
-        group += weight
-        for n, coeff in enumerate(coeffs):
-            total[n] += weight * coeff
+    weights = [permutation_count(lam) for lam in fixed]
+    group = sum(weights)
     out = []
-    for n, num in enumerate(total):
+    for n, column in enumerate(zip(*fixed.values())):
+        num = sum(map(mul, weights, column))
         quotient, remainder = divmod(num, group)
         if remainder:
             raise IntegralityError.for_quotient(f"k={cache.k}, {name}, degree {n}", num, group)

@@ -1,5 +1,6 @@
 """Engine tests: pinned small values, structural identities, invariants."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
@@ -395,15 +396,52 @@ def test_integrality_failure_names_k_type_and_degree(monkeypatch):
         solve_system(2, 5)
 
 
-def test_exp_step_refuses_a_non_integral_exponential():
-    # g = [0, 1] is the log-derivative of exp(x) = 1 + x + x^2/2 + ...: the
+def test_euler_steps_refuse_a_non_integral_exponential():
+    # g = x is the log-derivative of exp(x) = 1 + x + x^2/2 + ...: the
     # shared step produces 1, 1 and must refuse 1/2 at degree 2, naming the
     # series.  Shifted by x (as Bbar and B are), the same remainder is at x^3.
-    series = [1]
-    engine._exp_step([0, 1], series, 0, "k=1, mu=(1,)")
-    assert series == [1, 1]
+    g, series = [], [1]
+    engine._euler_steps([(g, series, "k=1, mu=", (1,))], [1], 1)
+    assert (g, series) == ([1], [1, 1])
     with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 2: 1/2 is not"):
-        engine._exp_step([0, 1, 0], series, 0, "k=1, mu=(1,)")
+        engine._euler_steps([(g, series, "k=1, mu=", (1,))], [0], 2)
     with pytest.raises(IntegralityError, match=r"^k=1, B, lam=\(1, 1\), degree 3: 1/2 is"):
-        engine._exp_step([0, 1, 0], [0, 1, 1], 1, "k=1, B, lam=(1, 1)")
+        engine._euler_steps([([1], [0, 1, 1], "k=1, B, lam=", (1, 1))], [0], 2)
     assert series == [1, 1]
+
+
+def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
+    # A product of integral series is integral, so no wrong factor or
+    # weight breaks a Bbar_mu step first; plant the remainder instead.  The
+    # first step on series shifted by x at n = 2 is Bbar_(1, 1)[3] at k = 2,
+    # the first product with two parts: its log-derivative's x^2 term gains
+    # 1, so the sum gains C_(1)[0] = 1 and no longer divides by 2.
+    steps = engine._euler_steps
+
+    def planted(entries, column, n):
+        if n == 2 and entries and len(entries[0][1]) == n + 1:
+            column = (value + (j == 0) for j, value in enumerate(column))
+        steps(entries, column, n)
+
+    monkeypatch.setattr(engine, "_euler_steps", planted)
+    located = r"^k=2, Bbar, mu=\(1, 1\), degree 3: 15/2 is not an integer$"
+    with pytest.raises(IntegralityError, match=located):
+        solve_system(2, 4)
+
+
+# SHA-256 of repr((cache.c, cache.bbar, cache.b)): every per-type table, its
+# keys and their order.  Taken from the solve before its loop was flattened,
+# in both regimes: deep and bigint-bound (small k), wide and short (large k).
+SOLVE_DIGESTS = {
+    (1, 200): "1c3bca992ea989ff399446197c3882f3e671e88d6034e6d7f28e4951789467a7",
+    (5, 80): "1d6c38edac404e15ddfe6a017e21527823bd5cf7530837fb078c961884324339",
+    (12, 12): "b1c558ea1b4d9a69d474b177147a5ff627c36d3db1bd349982cd0ec87a1ebd6f",
+    (14, 16): "c029850e11b92f2ec89002477ff89dd21859fc715126218c5c15687e5cc09274",
+}
+
+
+@pytest.mark.parametrize("k, order", list(SOLVE_DIGESTS))
+def test_solve_tables_are_pinned(k, order):
+    cache = solve_system(k, order)
+    tables = repr((cache.c, cache.bbar, cache.b)).encode()
+    assert hashlib.sha256(tables).hexdigest() == SOLVE_DIGESTS[k, order]
