@@ -84,8 +84,11 @@ def _fixed_points(order: int, system: System) -> dict[Type, list[int]]:
     Then C_mu[n] follows from n*C_mu[n] = sum_{j=1..n} (j*L[j])*C_mu[n-j],
     where j*L[j] = sum_{m | j} (j/m)*Bbar_{mu^m}[j/m] is the log-derivative.
     Each division by n must be exact; a remainder raises IntegralityError
-    naming k = |mu|, mu and the degree.
+    naming k = |mu|, mu and the degree.  A negative ``order`` raises
+    ValueError.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     c = {mu: [1] for mu in system}
     bbar = {mu: [0] for mu in system}
     log_deriv = {mu: [0] for mu in system}

@@ -110,6 +110,15 @@ def test_all_closed_forms_agree_with_engine_through_30():
         assert closed == count_ktrees(k, 30).U, k
 
 
+@pytest.mark.parametrize(
+    "solve", [rooted_trees, otter_U, twotree_rooted_series, twotree_U, threetree_U, fourtree_U]
+)
+@pytest.mark.parametrize("order", [-1, -3])
+def test_a_negative_order_is_refused_like_the_engine(solve, order):
+    with pytest.raises(ValueError, match=f"^order must be >= 0, got {order}$"):
+        solve(order)
+
+
 def test_twotree_internals_match_engine_tables():
     d, s = twotree_rooted_series(30)
     cache = solve_system(2, 30)
