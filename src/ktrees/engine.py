@@ -40,7 +40,12 @@ log-derivatives are kept from their x^1 term on, so a step is one dot
 product against its series read backwards and one exact division.  All
 the bookkeeping around it (which tables a log-derivative term reads, with
 what weight) is settled once per solve, and each degree's terms are summed
-a column at a time across all series of a kind.
+a column at a time across all series of a kind.  That bookkeeping names
+each cycle type once, by its index in the enumeration of the partitions
+of k (or of k+1): the power map mu -> mu^m is a row of indices, one
+:func:`cycle_power` per type and prime p whose p-th power moves it, with
+every other row composed from those.  The per-type tables become dicts
+keyed by the partitions only when the solve returns.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 from operator import add, itemgetter, mul
 from typing import Iterable
 
@@ -94,6 +99,12 @@ class SeriesCache:
         b: dict[Partition, list[int]],
     ):
         self.k, self.order, self.c, self.bbar, self.b = k, order, c, bbar, b
+
+    @cached_property
+    def _mu_weights(self) -> list[int]:
+        """Permutations of each type mu |- k, in the order of ``c``: the
+        weights of both C and E."""
+        return [permutation_count(mu) for mu in self.c]
 
     @cached_property
     def c_table(self) -> dict[Partition, Series]:
@@ -135,17 +146,41 @@ def _divisor_table(n: int) -> list[list[int]]:
     return divs
 
 
-def _powers(mu: Partition, order: int) -> list[Partition]:
-    """Cycle types of pi^0 (unused), pi^1, ..., pi^order for pi of type ``mu``.
+def _power_rows(
+    types: list[Partition], index: dict[Partition, int], order: int
+) -> list[list[int]]:
+    """Power maps of the cycle types ``types`` by index, for powers 1..order.
 
-    pi^m depends on m only through gcd(m, lcm(mu)), so each divisor of
-    lcm(mu) up to ``order`` costs one :func:`cycle_power`.
+    rows[m][s] is the index in ``types`` of the cycle type of pi^m, for pi
+    of type types[s] (rows[0] is unused).  Only a prime p costs
+    :func:`cycle_power` calls, one per type whose period lcm(mu) p divides: a
+    type of period prime to p is its own p-th power.  Every other row is
+    composed, row m being row p applied to row m/p, with p the least prime
+    factor of m.  A prime that divides no period gives the identity row
+    itself, which composing then passes on without a copy.
     """
-    period = lcm(*mu)
-    by_gcd = {
-        g: cycle_power(mu, g) for g in range(1, min(period, order) + 1) if period % g == 0
-    }
-    return [mu] + [by_gcd[gcd(m, period)] for m in range(1, order + 1)]
+    periods = [lcm(*mu) for mu in types]
+    identity = list(range(len(types)))
+    # least[m] is the least factor d >= 2 of m, the last d to mark it.
+    least = [0] * (order + 1)
+    for d in range(order, 1, -1):
+        least[d::d] = [d] * (order // d)
+    rows = [identity, identity]
+    for m in range(2, order + 1):
+        p = least[m]
+        if p < m:
+            row_p, row = rows[p], rows[m // p]
+            rows.append(row if row_p is identity else list(map(row_p.__getitem__, row)))
+        elif any(period % p == 0 for period in periods):
+            rows.append(
+                [
+                    index[cycle_power(mu, p)] if period % p == 0 else s
+                    for s, (mu, period) in enumerate(zip(types, periods))
+                ]
+            )
+        else:
+            rows.append(identity)
+    return rows
 
 
 def _euler_steps(
@@ -195,6 +230,14 @@ def solve_system(k: int, order: int) -> SeriesCache:
       one column per part i | n.  A product of one part is C_nu(x^i)
       itself and is read off C.
 
+    Both lists name a type by its index s in ``partitions_of(k)``.  The
+    powers mu^m come from :func:`_power_rows`: a row of indices for each
+    prime p <= order, which costs one :func:`cycle_power` per type whose
+    period lcm(mu) p divides, and every other row m composed as row p of
+    row m/p.  The lam ending in 1 are the mu + (1,) in the same order, so
+    the B_lam with a fixed point read mu's rows in turn; a B_lam without
+    one costs one :func:`cycle_power` per distinct part.
+
     Every division must be exact, and a remainder raises IntegralityError
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
     degree.  Nothing below degree d is touched again, so the result is
@@ -208,48 +251,62 @@ def solve_system(k: int, order: int) -> SeriesCache:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
 
+    # A type mu |- k is named by its index s in mus, and its tables are lists.
     mus = partitions_of(k)
     lams = partitions_of(k + 1)
+    index = {mu: s for s, mu in enumerate(mus)}
     divs = _divisor_table(order)
+    rows = _power_rows(mus, index, order)
 
-    c: dict[Partition, list[int]] = {mu: [1] for mu in mus}
-    bbar: dict[Partition, list[int]] = {mu: [0, 1][: order + 1] for mu in mus}
-    b: dict[Partition, list[int]] = {lam: [0, 1][: order + 1] for lam in lams}
-    # log_deriv[mu][j - 1] = a_mu[j] = j * [x^j] log C_mu, for j >= 1.
-    log_deriv: dict[Partition, list[int]] = {mu: [] for mu in mus}
-    # powers[mu][m] is the cycle type of pi^m for pi of type mu, m <= order.
-    powers = {mu: _powers(mu, order) for mu in mus}
+    c = [[1] for _ in mus]
+    bbar = [[0, 1][: order + 1] for _ in mus]
+    b = [[0, 1][: order + 1] for _ in lams]
+    # log_deriv[s][j - 1] = a_mu[j] = j * [x^j] log C_mu, for j >= 1.
+    log_deriv: list[list[int]] = [[] for _ in mus]
     where_c, where_bbar, where_b = f"k={k}, mu=", f"k={k}, Bbar, mu=", f"k={k}, B, lam="
-    c_steps = [(log_deriv[mu], c[mu], where_c, mu) for mu in mus]
+    c_steps = list(zip(log_deriv, c, repeat(where_c), mus))
     # by_power[m][s] is the Bbar table of mus[s]^m (m = 0 unused).
-    by_power = [[bbar[powers[mu][m]] for mu in mus] for m in range(order + 1)]
+    by_power = [list(map(bbar.__getitem__, row)) for row in rows]
 
-    # Products as (where, series, parts, mu).  The factor of part i is
-    # C_nu(x^i) with nu = mu^i, or lam^i minus one fixed point when lam has
-    # none (mu is None).  Parts i >= order divide no degree below order.
-    products = [(where_bbar, bbar[mu], mu, mu) for mu in mus]
-    products += [(where_b, b[lam], lam, drop_one_fixed_point(lam)) for lam in lams]
+    # Products as (where, series, parts, s).  For Bbar_mu, and for B_lam with
+    # lam = mu + (1,), the factor of part i is C_nu(x^i) with nu = mu^i, the
+    # type mus[rows[i][s]].  The lams ending in 1 are the mu + (1,) in the
+    # order of mus, so s counts them.  A lam with no fixed point (s is None)
+    # takes nu = lam^i minus one fixed point.
+    products = list(zip(repeat(where_bbar), bbar, mus, range(len(mus))))
+    fixed = iter(range(len(mus)))
+    products += [
+        (where_b, table, lam, next(fixed) if lam[-1] == 1 else None)
+        for lam, table in zip(lams, b)
+    ]
     one_part, steps = [], []
     # Part i's column: each product's weight (multiplicity * i) and the a_nu
     # it scales, with weight 0 on a zero source where i is no part of it.
-    columns: dict[int, tuple[list[int], list[list[int]]]] = {}
+    # Every part i <= k is in some product of two parts or more (i, 1, ...),
+    # and parts i >= order divide no degree below order.
     unused = [0] * order
-    for where, series, parts, mu in products:
-        nus = {
-            i: powers[mu][i] if mu is not None else drop_one_fixed_point(cycle_power(parts, i))
-            for i in set(parts)
-            if i < order
-        }
+    columns = {
+        i: ([0] * len(products), [unused] * len(products))
+        for i in range(1, min(k, order - 1) + 1)
+    }
+    for where, series, parts, s in products:
+        if s is None:
+            nus = {
+                i: index[drop_one_fixed_point(cycle_power(parts, i))]
+                for i in set(parts)
+                if i < order
+            }
+        else:
+            nus = {i: rows[i][s] for i in set(parts) if i < order}
         if len(parts) == 1:
             # C_nu(x^i) itself, with no term to read when i >= order.
             one_part.append((series, c[nus[parts[0]]] if nus else None, parts[0]))
             continue
+        j = len(steps)
         for i, nu in nus.items():
-            if i not in columns:
-                columns[i] = ([0] * len(products), [unused] * len(products))
             weights, sources = columns[i]
-            weights[len(steps)] = parts.count(i) * i
-            sources[len(steps)] = log_deriv[nu]
+            weights[j] = parts.count(i) * i
+            sources[j] = log_deriv[nu]
         steps.append(([], series, where, parts))
 
     # Each log-derivative term is summed a column at a time, lazily: a_d and
@@ -273,23 +330,24 @@ def solve_system(k: int, order: int) -> SeriesCache:
                     g_d = map(add, g_d, map(mul, weights, terms))
             _euler_steps(steps, g_d, d)
 
-    return SeriesCache(k=k, order=order, c=c, bbar=bbar, b=b)
+    return SeriesCache(
+        k=k, order=order, c=dict(zip(mus, c)), bbar=dict(zip(mus, bbar)), b=dict(zip(lams, b))
+    )
 
 
 def _orbit_average(
-    cache: SeriesCache, name: str, fixed: dict[Partition, list[int]]
+    cache: SeriesCache, name: str, weights: list[int], fixed: Iterable[list[int]]
 ) -> list[int]:
-    """Burnside average of the per-type series ``fixed``, keyed by exactly
-    the cycle types of one symmetric group.
+    """Burnside average of the per-type series ``fixed``, one for each
+    cycle type of one symmetric group, in the order of ``weights``.
 
     Kept in integers: each type is weighted by its number of permutations
     size!/z_lam, the weights add up to the group order size!, and the one
     division by it per coefficient must be exact.
     """
-    weights = [permutation_count(lam) for lam in fixed]
     group = sum(weights)
     out = []
-    for n, column in enumerate(zip(*fixed.values())):
+    for n, column in enumerate(zip(*fixed)):
         num = sum(map(mul, weights, column))
         quotient, remainder = divmod(num, group)
         if remainder:
@@ -300,12 +358,13 @@ def _orbit_average(
 
 def compute_B(cache: SeriesCache) -> list[int]:
     """Color-orbits of black-rooted trees: average of B_lam weighted by 1/z_lam."""
-    return _orbit_average(cache, "B", cache.b)
+    weights = [permutation_count(lam) for lam in cache.b]
+    return _orbit_average(cache, "B", weights, cache.b.values())
 
 
 def compute_C(cache: SeriesCache) -> list[int]:
     """Color-orbits of colored-rooted trees: average of C_mu weighted by 1/z_mu."""
-    return _orbit_average(cache, "C", cache.c)
+    return _orbit_average(cache, "C", cache._mu_weights, cache.c.values())
 
 
 def compute_E(cache: SeriesCache) -> list[int]:
@@ -314,9 +373,11 @@ def compute_E(cache: SeriesCache) -> list[int]:
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
     tree and a reduced black-rooted tree, independently fixed.  Their
     product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's table for
-    mu + (1,).
+    mu + (1,).  The lam ending in 1 are the mu + (1,), in the same order as
+    the mu, so E reads them in turn.
     """
-    return _orbit_average(cache, "E", {mu: cache.b[mu + (1,)] for mu in cache.c})
+    fixed = [table for lam, table in cache.b.items() if lam[-1] == 1]
+    return _orbit_average(cache, "E", cache._mu_weights, fixed)
 
 
 def count_ktrees(k: int, order: int) -> ResultBundle:

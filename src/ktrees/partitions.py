@@ -24,16 +24,36 @@ def partitions_of(m: int) -> list[Partition]:
     """
     if m < 0:
         raise ValueError(f"cannot partition a negative integer: {m}")
-    out: list[Partition] = []
-
-    def descend(remaining: int, max_part: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            descend(remaining - part, part, prefix + (part,))
-
-    descend(m, m, ())
+    if m == 0:
+        return [()]
+    # Zoghbi & Stojmenovic's ZS1: the partition is parts[:size], h indexes
+    # its last part above 1, and every later entry of parts is 1.  Each step
+    # takes 1 from parts[h] and deals the freed units out in parts of at
+    # most parts[h].
+    parts = [1] * m
+    parts[0] = m
+    h, size = 0, 1
+    out: list[Partition] = [(m,)]
+    while parts[0] != 1:
+        if parts[h] == 2:
+            parts[h] = 1
+            h -= 1
+            size += 1
+        else:
+            r = parts[h] - 1
+            t = size - h
+            parts[h] = r
+            while t >= r:
+                h += 1
+                parts[h] = r
+                t -= r
+            size = h + 1
+            if t:
+                size += 1
+                if t > 1:
+                    h += 1
+                    parts[h] = t
+        out.append(tuple(parts[:size]))
     return out
 
 
@@ -95,7 +115,10 @@ def cycle_power(lam: Partition, i: int) -> Partition:
     parts: list[int] = []
     for p in lam:
         g = gcd(p, i)
-        parts.extend([p // g] * g)
+        if g == 1:
+            parts.append(p)
+        else:
+            parts += [p // g] * g
     parts.sort(reverse=True)
     return tuple(parts)
 

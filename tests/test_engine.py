@@ -125,6 +125,17 @@ def test_black_rooted_three_cycle_structure():
     assert Series(cache.order, cache.b[(3,)]) == expected
 
 
+def test_power_rows_name_the_type_of_every_power():
+    # Row m, composed from the prime rows, against cycle_power at m itself.
+    order = 40
+    for k in range(1, 13):
+        mus = partitions_of(k)
+        rows = engine._power_rows(mus, {mu: s for s, mu in enumerate(mus)}, order)
+        for s, mu in enumerate(mus):
+            got = [mus[rows[m][s]] for m in range(1, order + 1)]
+            assert got == [cycle_power(mu, m) for m in range(1, order + 1)], (k, mu)
+
+
 def test_B_lambda_matches_substituted_product():
     # B_lam = x * prod_{i in lam} C_{lam^i minus one fixed point}(x^i), built
     # here factor by factor, for fixed-point and fixed-point-free types alike.

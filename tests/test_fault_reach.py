@@ -30,7 +30,8 @@ class _EachPartOnce(tuple):
 
 
 def _wrong_period(monkeypatch):
-    # _powers reads pi^m by gcd(m, period); max(mu) is wrong once lcm(mu) is not.
+    # _power_rows calls cycle_power(mu, p) only for the primes p that divide
+    # lcm(mu); max(mu) drops some of them once it is not lcm(mu).
     monkeypatch.setattr(engine, "lcm", lambda *mu: max(mu))
 
 

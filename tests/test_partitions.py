@@ -44,17 +44,19 @@ def test_partitions_of_zero():
     assert partitions_of(0) == [()]
 
 
-def test_partitions_of_7_complete():
-    got = partitions_of(7)
-    assert len(got) == 15
-    assert sorted(got) == sorted(brute_force_partitions(7))
-
-
-def test_partitions_reverse_lex_is_descending():
-    for m in range(9):
+def test_partitions_of_is_the_brute_force_set_in_reverse_lex_order():
+    numbers = list(islice(partition_numbers(), 26))
+    for m in range(26):
         got = partitions_of(m)
-        assert got == sorted(got, reverse=True)
-        assert all(sum(p) == m for p in got)
+        assert got == sorted(brute_force_partitions(m), reverse=True), m
+        assert len(got) == numbers[m], m
+
+
+def test_types_with_a_fixed_point_are_those_of_one_less_in_order():
+    # The lam |- k + 1 ending in 1 are the mu + (1,), in the order of the
+    # mu |- k: the engine reads E's tables and their weights in turn on this.
+    for k in range(21):
+        assert [lam[:-1] for lam in partitions_of(k + 1) if lam[-1] == 1] == partitions_of(k)
 
 
 def test_partition_numbers_count_the_enumeration():
