@@ -44,6 +44,19 @@ def test_partitions_of_zero():
     assert partitions_of(0) == [()]
 
 
+def test_partitions_of_7_complete():
+    got = partitions_of(7)
+    assert len(got) == 15
+    assert sorted(got) == sorted(brute_force_partitions(7))
+
+
+def test_partitions_reverse_lex_is_descending():
+    for m in range(9):
+        got = partitions_of(m)
+        assert got == sorted(got, reverse=True)
+        assert all(sum(p) == m for p in got)
+
+
 def test_partitions_of_is_the_brute_force_set_in_reverse_lex_order():
     numbers = list(islice(partition_numbers(), 26))
     for m in range(26):
