@@ -58,7 +58,7 @@ STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
 # host with Python 3.11, solves on the budget's edge took 3-9 s (medians of
 # three fresh processes, one session): (1, 1958) 6.1 s, (2, 1443) 7.5 s,
 # (3, 1203) 8.5 s, (5, 816) 4.7 s and (12, 294) 3.2 s.  (30, 31) costs
-# 1.8 * 10^7 and took 2.1 s (median of nine, measured separately).
+# 1.8 * 10^7 and took 1.7 s (median of nine, measured separately).
 WORK_BUDGET = 3 * 10**7
 
 # One verification check: (name, passed, detail-for-failures)

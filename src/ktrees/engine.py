@@ -83,11 +83,15 @@ class SeriesCache:
     """Solved per-cycle-type integer tables for one (k, order) computation.
 
     ``c`` and ``bbar`` hold C_mu and Bbar_mu, keyed by exactly the
-    partitions mu of k; ``b`` holds B_lam, keyed by exactly the partitions
-    lam of k+1.  After :func:`solve_system` every table has order + 1
-    coefficients, all correct.  ``c_table`` and ``bbar_table`` are the same
-    C_mu and Bbar_mu as :class:`Series`, built on first read; nothing in the
-    package reads them, only the benchmark's trace and the tests.
+    partitions mu of k in the order of ``partitions_of(k)``; ``b`` holds
+    B_lam, keyed by exactly the partitions lam of k+1 in the order of
+    ``partitions_of(k + 1)``.  :func:`compute_E` depends on that order: it
+    pairs the lam ending in 1 with the mu by position, as the lam ending in
+    1 are the mu + (1,) in the order of the mu.  After :func:`solve_system`
+    every table has order + 1 coefficients, all correct.  ``c_table`` and
+    ``bbar_table`` are the same C_mu and Bbar_mu as :class:`Series`, built
+    on first read; nothing in the package reads them, only the benchmark's
+    trace and the tests.
     """
 
     def __init__(
@@ -156,8 +160,7 @@ def _power_rows(
     :func:`cycle_power` calls, one per type whose period lcm(mu) p divides: a
     type of period prime to p is its own p-th power.  Every other row is
     composed, row m being row p applied to row m/p, with p the least prime
-    factor of m.  A prime that divides no period gives the identity row
-    itself, which composing then passes on without a copy.
+    factor of m.
     """
     periods = [lcm(*mu) for mu in types]
     identity = list(range(len(types)))
@@ -169,17 +172,14 @@ def _power_rows(
     for m in range(2, order + 1):
         p = least[m]
         if p < m:
-            row_p, row = rows[p], rows[m // p]
-            rows.append(row if row_p is identity else list(map(row_p.__getitem__, row)))
-        elif any(period % p == 0 for period in periods):
+            rows.append(list(map(rows[p].__getitem__, rows[m // p])))
+        else:
             rows.append(
                 [
                     index[cycle_power(mu, p)] if period % p == 0 else s
                     for s, (mu, period) in enumerate(zip(types, periods))
                 ]
             )
-        else:
-            rows.append(identity)
     return rows
 
 
@@ -374,7 +374,7 @@ def compute_E(cache: SeriesCache) -> list[int]:
     tree and a reduced black-rooted tree, independently fixed.  Their
     product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's table for
     mu + (1,).  The lam ending in 1 are the mu + (1,), in the same order as
-    the mu, so E reads them in turn.
+    the mu (see :class:`SeriesCache`), so E reads them in turn.
     """
     fixed = [table for lam, table in cache.b.items() if lam[-1] == 1]
     return _orbit_average(cache, "E", cache._mu_weights, fixed)
