@@ -25,11 +25,11 @@ never bad input).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import pairwise, permutations, zip_longest
 from math import factorial
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
@@ -65,21 +65,6 @@ WORK_BUDGET = 3 * 10**7
 Check = tuple[str, bool, str]
 # One printed row of counts: (k, or "stable", its U coefficients)
 Row = tuple[int | str, list[int]]
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer >= ``low``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
 
 
 class _QueryTooLarge(Exception):
@@ -165,17 +150,17 @@ def _rows(ks: Iterable[int], order: int, stable: bool) -> list[Row]:
     return [(label, by_k[k]) for label, k in plan]
 
 
-def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
     _print_counts(*_rows([args.k], args.terms - 1, False)[0], args.format, out)
     return 0
 
 
-def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_table(args: SimpleNamespace, out: TextIO) -> int:
     _print_table(_rows(range(1, args.max_k + 1), args.max_n, args.stable), args.format, out)
     return 0
 
 
-def _cmd_stable(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_stable(args: SimpleNamespace, out: TextIO) -> int:
     _print_counts(*_rows([], args.terms - 1, True)[0], args.format, out)
     return 0
 
@@ -383,7 +368,7 @@ def _outcomes(modes: list[str]) -> Iterator[list[Check] | Exception]:
             os.waitpid(pid, 0)
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: SimpleNamespace, out: TextIO) -> int:
     modes = list(_SUITES) if args.mode == "all" else [args.mode]
     failures = 0
     for outcome in _outcomes(modes):
@@ -402,44 +387,111 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ktrees",
-        description="Exact counts of unlabeled k-trees by number of hedra.",
+class _UsageError(Exception):
+    """A command line the flag table does not take (exit code 2).  Its args
+    are the command whose usage to print (None for every command) and the
+    error."""
+
+
+_Handler = Callable[[SimpleNamespace, TextIO], int]
+_FORMAT = {"--format": (("plain", "csv", "json"), "plain")}
+
+# Each command: its handler, a one-line summary and its flags.  A flag maps
+# to (kind, default): kind is the least integer it takes, the tuple of the
+# words it takes, or None for a switch; a default of None makes it required.
+_COMMANDS: dict[str, tuple[_Handler, str, dict[str, tuple]]] = {
+    "count": (_cmd_count, "print counts for one k, n = 0..terms-1",
+              {"--k": (1, None), "--terms": (1, 10), **_FORMAT}),
+    "table": (_cmd_table, "print the counts grid for k = 1..max-k, n = 0..max-n;"
+              " --stable adds the stable row",
+              {"--max-k": (1, None), "--max-n": (0, None), "--stable": (None, False), **_FORMAT}),
+    "stable": (_cmd_stable, "print the k-independent tail values",
+               {"--terms": (1, 10), **_FORMAT}),
+    "verify": (_cmd_verify, "run consistency suites", {"--mode": ((*_SUITES, "all"), "all")}),
+}
+
+
+def _usage(names: Iterable[str]) -> str:
+    """The usage lines of the commands ``names``, read off the flag table."""
+    lines = []
+    for name in names:
+        words = [name]
+        for flag, (kind, default) in _COMMANDS[name][2].items():
+            if isinstance(kind, tuple):
+                flag += " {" + ",".join(kind) + "}"
+            elif kind is not None:
+                flag += " " + flag[2:].upper().replace("-", "_")
+            words.append(flag if default is None else f"[{flag}]")
+        lines.append(" ".join(words))
+    return "usage: ktrees " + "\n       ktrees ".join(lines) + "\n"
+
+
+def _help(args: SimpleNamespace, out: TextIO) -> int:
+    out.write(
+        _usage(_COMMANDS)
+        + "\nExact counts of unlabeled k-trees by number of hedra.\n\n"
+        + "".join(f"  {name:<6}  {summary}\n" for name, (_, summary, _) in _COMMANDS.items())
+        + "\nA flag's value is the next word or follows '=' (--k 2 or --k=2).  Flags\n"
+        "come in any order, the last of a repeated flag counts, and -h or --help\n"
+        "prints this text.\n"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    return 0
 
-    p_count = sub.add_parser("count", help="print counts for one k")
-    p_count.add_argument("--k", type=_int_at_least(1), required=True, help="k-tree parameter")
-    p_count.add_argument("--terms", type=_int_at_least(1), default=10,
-                         help="number of coefficients (n = 0..terms-1)")
-    p_count.set_defaults(func=_cmd_count)
 
-    p_table = sub.add_parser("table", help="print the counts grid for k = 1..max-k")
-    p_table.add_argument("--max-k", type=_int_at_least(1), required=True)
-    p_table.add_argument("--max-n", type=_int_at_least(0), required=True)
-    p_table.add_argument("--stable", action="store_true", help="append the stable row")
-    p_table.set_defaults(func=_cmd_table)
+def _parse(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
+    """The handler ``argv`` names and its flag values, by attribute name.
 
-    p_stable = sub.add_parser("stable", help="print the k-independent tail values")
-    p_stable.add_argument("--terms", type=_int_at_least(1), default=10)
-    p_stable.set_defaults(func=_cmd_stable)
-
-    for p_rows in (p_count, p_table, p_stable):
-        p_rows.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-
-    p_verify = sub.add_parser("verify", help="run consistency suites")
-    p_verify.add_argument("--mode", choices=(*_SUITES, "all"), default="all")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    return parser
+    ``-h`` or ``--help`` anywhere selects the help text.  Otherwise the
+    first word names a command, and each flag of it takes its value as the
+    next word or after '='.  Flags come in any order, and a repeated flag
+    keeps its last value.  The first word the table does not take (an
+    unknown command or flag, an abbreviated flag, a value given to a switch,
+    a stray word, a missing or bad value) raises _UsageError, as does a
+    missing required flag.
+    """
+    if "-h" in argv or "--help" in argv:
+        return _help, SimpleNamespace()
+    name, *words = argv or [""]
+    if name not in _COMMANDS:
+        raise _UsageError(None, f"argument command: invalid choice: {name!r}" if name
+                          else "the following arguments are required: command")
+    handler, _, flags = _COMMANDS[name]
+    values = {flag: default for flag, (_, default) in flags.items()}
+    words = iter(words)
+    for word in words:
+        flag, given, text = word.partition("=")
+        if flag not in flags or given and flags[flag][0] is None:
+            raise _UsageError(name, f"unrecognized arguments: {word}")
+        kind = flags[flag][0]
+        if kind is None:
+            values[flag] = True
+            continue
+        if not given and (text := next(words, None)) is None:
+            raise _UsageError(name, f"argument {flag}: expected one argument")
+        try:
+            value = text if isinstance(kind, tuple) else int(text)
+        except ValueError:
+            value = None
+        if value is None or (value not in kind if isinstance(kind, tuple) else value < kind):
+            wanted = (f"one of {', '.join(kind)}" if isinstance(kind, tuple)
+                      else f"an integer >= {kind}")
+            raise _UsageError(name, f"argument {flag}: expected {wanted}, got {text!r}")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is None]
+    if missing:
+        raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args, sys.stdout)
+    except _UsageError as exc:
+        command, message = exc.args
+        usage = _usage([command] if command else _COMMANDS)
+        sys.stderr.write(f"{usage}ktrees: error: {message}\n")
+        raise SystemExit(2) from None
     except _QueryTooLarge as exc:
         print(f"ktrees: {exc}", file=sys.stderr)
         return 2

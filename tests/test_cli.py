@@ -332,11 +332,50 @@ def test_usage_errors_exit_2(capsys):
         ["table", "--max-k", "2"],                 # missing --max-n
         ["verify", "--mode", "nonsense"],          # unknown mode
         ["frobnicate"],                            # unknown command
+        [],                                        # no command
+        ["count", "--k=0"],                        # k out of range, after '='
+        ["count", "--k"],                          # missing value
+        ["count", "--k", "2", "--bogus", "1"],     # unknown flag
+        ["count", "--k", "2", "--ter", "5"],       # abbreviated flag
+        ["table", "--max-k", "1", "--max-n", "1", "--stable=yes"],  # value to a switch
+        ["stable", "extra"],                       # stray word
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage:"), argv
+        assert captured.err.splitlines()[-1].startswith("ktrees: error:"), argv
+
+
+def test_flags_take_values_after_equals_in_any_order(capsys):
+    canonical = run_cli(capsys, "count", "--k", "2", "--terms", "10")
+    assert canonical[0] == 0
+    for argv in (
+        ["count", "--k=2", "--terms=10"],
+        ["count", "--terms", "10", "--k", "2"],
+        ["count", "--terms=10", "--k", "2"],
+    ):
+        assert run_cli(capsys, *argv) == canonical, argv
+    table = run_cli(capsys, "table", "--max-k", "2", "--max-n", "4", "--stable", "--format", "csv")
+    assert run_cli(capsys, "table", "--format=csv", "--stable", "--max-n=4", "--max-k", "2") == table
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    assert run_cli(capsys, "count", "--k", "1", "--terms", "3", "--terms", "6") == (
+        0, "1 1 1 2 3 6\n", ""
+    )
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["count", "--help"], ["verify", "-h"]])
+def test_help_names_every_command_and_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage:")
+    for word in ("count", "table", "stable", "verify", "--k", "--terms", "--format",
+                 "--max-k", "--max-n", "--stable", "--mode", "--help"):
+        assert word in out, word
 
 
 def test_integrality_violation_exits_3(capsys, monkeypatch):
@@ -539,14 +578,22 @@ def test_module_entry_point():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_json_or_ast():
-    # Every CLI run pays for what importing ktrees.cli loads; the first four
-    # modules cost about 14 ms of start-up and no command needs them there,
-    # and only verify's runner, once it forks, needs pickle.
+    # Every CLI run pays for what importing ktrees.cli and parsing its
+    # command line load; the first four modules cost about 14 ms of start-up
+    # and no command needs them there, argparse with gettext and locale
+    # cost about 3 ms, and only verify's runner, once it forks, needs
+    # pickle.  Each command below runs in-process, so none forks.
     src = str(Path(cli.__file__).resolve().parents[1])
     script = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
-        "import ktrees.cli\n"
-        "heavy = {'dataclasses', 'inspect', 'json', 'ast', 'pickle'}\n"
+        "import contextlib, io, ktrees.cli\n"
+        "for argv in (['count', '--k', '2', '--terms', '5'], ['table', '--max-k', '2',\n"
+        "             '--max-n', '3'], ['stable', '--terms', '4'], ['verify', '--mode',\n"
+        "             'reference']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert ktrees.cli.main(argv) == 0, argv\n"
+        "heavy = {'dataclasses', 'inspect', 'json', 'ast', 'pickle', 'argparse', 'gettext',\n"
+        "         'locale'}\n"
         "print(sorted(heavy & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
