@@ -30,7 +30,7 @@ import sys
 from itertools import pairwise, permutations, zip_longest
 from math import factorial
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import _stable_k, count_ktrees, solve_system, stable_counts
@@ -387,27 +387,18 @@ def _cmd_verify(args: SimpleNamespace, out: TextIO) -> int:
 # ---------------------------------------------------------------- parser
 
 
-class _UsageError(Exception):
-    """A command line the flag table does not take (exit code 2).  Its args
-    are the command whose usage to print (None for every command) and the
-    error."""
-
-
 _Handler = Callable[[SimpleNamespace, TextIO], int]
 _FORMAT = {"--format": (("plain", "csv", "json"), "plain")}
 
-# Each command: its handler, a one-line summary and its flags.  A flag maps
-# to (kind, default): kind is the least integer it takes, the tuple of the
-# words it takes, or None for a switch; a default of None makes it required.
-_COMMANDS: dict[str, tuple[_Handler, str, dict[str, tuple]]] = {
-    "count": (_cmd_count, "print counts for one k, n = 0..terms-1",
-              {"--k": (1, None), "--terms": (1, 10), **_FORMAT}),
-    "table": (_cmd_table, "print the counts grid for k = 1..max-k, n = 0..max-n;"
-              " --stable adds the stable row",
+# Each command: its handler and its flags.  A flag maps to (kind, default):
+# kind is the least integer it takes, the tuple of the words it takes, or
+# None for a switch; a default of None makes it required.
+_COMMANDS: dict[str, tuple[_Handler, dict[str, tuple]]] = {
+    "count": (_cmd_count, {"--k": (1, None), "--terms": (1, 10), **_FORMAT}),
+    "table": (_cmd_table,
               {"--max-k": (1, None), "--max-n": (0, None), "--stable": (None, False), **_FORMAT}),
-    "stable": (_cmd_stable, "print the k-independent tail values",
-               {"--terms": (1, 10), **_FORMAT}),
-    "verify": (_cmd_verify, "run consistency suites", {"--mode": ((*_SUITES, "all"), "all")}),
+    "stable": (_cmd_stable, {"--terms": (1, 10), **_FORMAT}),
+    "verify": (_cmd_verify, {"--mode": ((*_SUITES, "all"), "all")}),
 }
 
 
@@ -415,8 +406,8 @@ def _usage(names: Iterable[str]) -> str:
     """The usage lines of the commands ``names``, read off the flag table."""
     lines = []
     for name in names:
-        words = [name]
-        for flag, (kind, default) in _COMMANDS[name][2].items():
+        words = [name, "[--help]"]
+        for flag, (kind, default) in _COMMANDS[name][1].items():
             if isinstance(kind, tuple):
                 flag += " {" + ",".join(kind) + "}"
             elif kind is not None:
@@ -427,15 +418,15 @@ def _usage(names: Iterable[str]) -> str:
 
 
 def _help(args: SimpleNamespace, out: TextIO) -> int:
-    out.write(
-        _usage(_COMMANDS)
-        + "\nExact counts of unlabeled k-trees by number of hedra.\n\n"
-        + "".join(f"  {name:<6}  {summary}\n" for name, (_, summary, _) in _COMMANDS.items())
-        + "\nA flag's value is the next word or follows '=' (--k 2 or --k=2).  Flags\n"
-        "come in any order, the last of a repeated flag counts, and -h or --help\n"
-        "prints this text.\n"
-    )
+    out.write(_usage(_COMMANDS) + "\nExact counts of unlabeled k-trees by number of hedra.\n")
     return 0
+
+
+def _fail(name: str | None, message: str) -> NoReturn:
+    """Write the usage of command ``name`` (of every command for None) and
+    ``message`` to stderr, and exit with code 2."""
+    sys.stderr.write(f"{_usage([name] if name else _COMMANDS)}ktrees: error: {message}\n")
+    raise SystemExit(2)
 
 
 def _parse(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
@@ -446,28 +437,28 @@ def _parse(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
     next word or after '='.  Flags come in any order, and a repeated flag
     keeps its last value.  The first word the table does not take (an
     unknown command or flag, an abbreviated flag, a value given to a switch,
-    a stray word, a missing or bad value) raises _UsageError, as does a
-    missing required flag.
+    a stray word, a missing or bad value) is a usage error, as is a missing
+    required flag.
     """
     if "-h" in argv or "--help" in argv:
         return _help, SimpleNamespace()
     name, *words = argv or [""]
     if name not in _COMMANDS:
-        raise _UsageError(None, f"argument command: invalid choice: {name!r}" if name
-                          else "the following arguments are required: command")
-    handler, _, flags = _COMMANDS[name]
+        _fail(None, f"argument command: invalid choice: {name!r}" if name
+              else "the following arguments are required: command")
+    handler, flags = _COMMANDS[name]
     values = {flag: default for flag, (_, default) in flags.items()}
     words = iter(words)
     for word in words:
         flag, given, text = word.partition("=")
         if flag not in flags or given and flags[flag][0] is None:
-            raise _UsageError(name, f"unrecognized arguments: {word}")
+            _fail(name, f"unrecognized arguments: {word}")
         kind = flags[flag][0]
         if kind is None:
             values[flag] = True
             continue
         if not given and (text := next(words, None)) is None:
-            raise _UsageError(name, f"argument {flag}: expected one argument")
+            _fail(name, f"argument {flag}: expected one argument")
         try:
             value = text if isinstance(kind, tuple) else int(text)
         except ValueError:
@@ -475,11 +466,11 @@ def _parse(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
         if value is None or (value not in kind if isinstance(kind, tuple) else value < kind):
             wanted = (f"one of {', '.join(kind)}" if isinstance(kind, tuple)
                       else f"an integer >= {kind}")
-            raise _UsageError(name, f"argument {flag}: expected {wanted}, got {text!r}")
+            _fail(name, f"argument {flag}: expected {wanted}, got {text!r}")
         values[flag] = value
     missing = [flag for flag, value in values.items() if value is None]
     if missing:
-        raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
     return handler, SimpleNamespace(**{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
@@ -487,11 +478,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args, sys.stdout)
-    except _UsageError as exc:
-        command, message = exc.args
-        usage = _usage([command] if command else _COMMANDS)
-        sys.stderr.write(f"{usage}ktrees: error: {message}\n")
-        raise SystemExit(2) from None
     except _QueryTooLarge as exc:
         print(f"ktrees: {exc}", file=sys.stderr)
         return 2

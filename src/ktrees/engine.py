@@ -160,9 +160,7 @@ def _power_rows(
     :func:`cycle_power` calls, one per type whose period lcm(mu) p divides: a
     type of period prime to p is its own p-th power.  Every other row is
     composed, row m being row p applied to row m/p, with p the least prime
-    factor of m.  A prime row that moves no type is the shared ``identity``
-    list, and a composition with it is the other row itself, not a copy, so
-    the rows are shared and must not be changed.
+    factor of m.
     """
     periods = [lcm(*mu) for mu in types]
     identity = list(range(len(types)))
@@ -174,20 +172,14 @@ def _power_rows(
     for m in range(2, order + 1):
         p = least[m]
         if p < m:
-            row_p, row = rows[p], rows[m // p]
-            if row_p is identity or row is identity:
-                rows.append(row if row_p is identity else row_p)
-            else:
-                rows.append(list(map(row_p.__getitem__, row)))
-        elif any(period % p == 0 for period in periods):
+            rows.append(list(map(rows[p].__getitem__, rows[m // p])))
+        else:
             rows.append(
                 [
                     index[cycle_power(mu, p)] if period % p == 0 else s
                     for s, (mu, period) in enumerate(zip(types, periods))
                 ]
             )
-        else:
-            rows.append(identity)
     return rows
 
 
