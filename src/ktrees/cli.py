@@ -33,7 +33,15 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
-from .engine import _stable_k, count_ktrees, solve_system, stable_counts
+from .engine import (
+    _count_from,
+    _stable_k,
+    _stable_ks,
+    _stable_row,
+    count_ktrees,
+    solve_system,
+    stable_counts,
+)
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
 from .series import IntegralityError
@@ -132,22 +140,25 @@ def _print_table(rows: list[Row], fmt: str, out: TextIO) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def _rows(ks: Iterable[int], order: int, stable: bool) -> list[Row]:
+def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    U_k[n] is constant for k >= n-2, so each k is served by the solve at
-    min(k, _stable_k(order)), where _stable_k(order) = max(N-2, 1) is also
-    the stable row's k; the engine cannot clamp, as B, C and E still vary.
-    The distinct solves pass the work budget before the first of them runs,
-    and each runs once.
+    U_k[n] is constant for k >= n-2, so every k from _stable_k(order) =
+    max(N-2, 1) on prints the stable row; the engine cannot clamp, as B, C
+    and E still vary.  The stable row is built by the last-jump identity
+    (engine._stable_row) from the solves at k = N-3 and k = 1, or at k = 1
+    alone for N <= 3, so no row solves at k = N-2.  Each smaller k is its
+    own solve.  The distinct solves pass the work budget before the first
+    of them runs, and each runs once.
     """
     cap = _stable_k(order)
-    plan = [(k, min(k, cap)) for k in ks] + ([("stable", cap)] if stable else [])
-    solves = sorted({k for _, k in plan})
+    jump = stable or any(k >= cap for k in ks)
+    solves = sorted({*(k for k in ks if k < cap), *(_stable_ks(order) if jump else ())})
     _check_budget(solves, order)
     by_k = {k: count_ktrees(k, order).U for k in solves}
-    return [(label, by_k[k]) for label, k in plan]
+    tail = _stable_row(order, by_k) if jump else []
+    return [(k, by_k[k] if k < cap else tail) for k in ks] + ([("stable", tail)] if stable else [])
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
@@ -206,19 +217,18 @@ def _verify_reference() -> list[Check]:
 
 def _verify_closedform() -> list[Check]:
     order = 30
+    cache = solve_system(2, order)  # read by the 2-tree formula and the rooted pair
     checks = [
         _check(f"closedform: {name} == engine through order {order}",
-               (f"first difference at n={n}"
-                for n in _mismatches(fn(order), count_ktrees(k, order).U)))
-        for name, fn, k in (
-            ("1-tree formula", otter_U, 1),
-            ("2-tree formula", twotree_U, 2),
-            ("3-tree formula", threetree_U, 3),
-            ("4-tree formula", fourtree_U, 4),
+               (f"first difference at n={n}" for n in _mismatches(fn(order), bundle.U)))
+        for name, fn, bundle in (
+            ("1-tree formula", otter_U, count_ktrees(1, order)),
+            ("2-tree formula", twotree_U, _count_from(cache)),
+            ("3-tree formula", threetree_U, count_ktrees(3, order)),
+            ("4-tree formula", fourtree_U, count_ktrees(4, order)),
         )
     ]
     d, s = twotree_rooted_series(order)
-    cache = solve_system(2, order)
     pair = [
         f"{label} differs at degree {at[0]}"
         for label, at in (("D", _mismatches(d, cache.c[(1, 1)])),

@@ -387,13 +387,19 @@ def count_ktrees(k: int, order: int) -> ResultBundle:
     dissymmetry identity U = B + C - E.  Every division on the way must be
     exact; a failure raises IntegralityError and means an engine bug.
     """
-    cache = solve_system(k, order)
+    return _count_from(solve_system(k, order))
+
+
+# Private: callers that also read a solve's tables aggregate that same
+# solve instead of solving it again.
+def _count_from(cache: SeriesCache) -> ResultBundle:
+    """The counts of :func:`count_ktrees` from its solved ``cache``."""
     b, c, e = compute_B(cache), compute_C(cache), compute_E(cache)
     u = [bn + cn - en for bn, cn, en in zip(b, c, e)]
     for n, count in enumerate(u):
         if count < 0:
-            raise ArithmeticError(f"negative k-tree count U[{n}] = {count} for k={k}")
-    return ResultBundle(k=k, order=order, U=u, B=b, C=c, E=e)
+            raise ArithmeticError(f"negative k-tree count U[{n}] = {count} for k={cache.k}")
+    return ResultBundle(k=cache.k, order=cache.order, U=u, B=b, C=c, E=e)
 
 
 def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
@@ -423,7 +429,8 @@ def _stable_k(order: int) -> int:
     """The least k whose counts of 0..order hedra all lie in the stable range.
 
     U_k[n] is constant for k >= n-2 (see :func:`stable_counts`), and k >= 1;
-    the CLI serves every larger k from this one.
+    the CLI prints the stable row for this k and every larger one.  That
+    row is not solved here but one k lower, by :func:`_stable_row`.
 
     >>> [_stable_k(n) for n in range(5)]
     [1, 1, 1, 1, 2]
@@ -431,23 +438,67 @@ def _stable_k(order: int) -> int:
     return max(order - 2, 1)
 
 
+def _stable_ks(order: int) -> list[int]:
+    """The k whose U rows through ``order`` :func:`_stable_row` reads:
+    1 and order - 3, which is 1 too up to order 4.
+
+    >>> [_stable_ks(n) for n in (0, 3, 4, 5, 16)]
+    [[1], [1], [1], [1, 2], [1, 13]]
+    """
+    return [1, order - 3] if order > 4 else [1]
+
+
+def _stable_row(order: int, rows: dict[int, list[int]]) -> list[int]:
+    """The stable row through ``order``, from ``rows``, the U rows through
+    ``order`` of (at least) the k in :func:`_stable_ks`.
+
+    Through order <= 3 it is the k = 1 row.  Otherwise it is the row at
+    k = order - 3, which lies in the stable range of every n < order, with
+    the last jump U_1[order - 1] added at n = order (see
+    :func:`stable_counts`).  The rows are not changed.
+    """
+    if order < 4:
+        return rows[1]
+    row = rows[order - 3]
+    return [*row[:-1], row[order] + rows[1][order - 1]]
+
+
 def stable_counts(order: int) -> list[int]:
     """The k-independent tail values: entry n is the n-hedra count at k = max(n-2, 1).
 
-    Take a k-tree with n hedra.  Each of the n-1 hedra after the first
-    shares a k-clique with an earlier hedron, so it drops at most one vertex
-    from the running intersection of all hedra, and at least k+2-n vertices
-    lie in every hedron.  So for k >= n-1 some vertex is adjacent to all
-    others, and any two such vertices are swapped by an automorphism.
-    Deleting one is therefore a bijection from unlabeled k-trees with n
-    hedra to unlabeled (k-1)-trees with n hedra, with adding a universal
-    vertex as its inverse.  Hence U_k[n] = U_{k-1}[n] for k >= n-1, and
-    column n is constant from k = n-2 on.  (It is the least such k for
-    n >= 4: the last jump U_{n-2}[n] - U_{n-3}[n] is the number of trees
-    U_1[n-1] > 0.)  One solve at k = max(order-2, 1) is therefore in the
-    stable range of every n <= order, and since a solve is exact at each
-    degree up to its order, its whole U row is the tail.
+    Take a k-tree with n hedra, its hedra in an order in which each after
+    the first shares a k-clique (a front) with an earlier one.  Each of
+    those n-1 hedra drops at most one vertex from the running intersection
+    of the hedra so far, so at least k+2-n vertices lie in every hedron.  A
+    vertex lies in every hedron exactly when it is adjacent to all others
+    (universal), since a k-tree has no (k+2)-clique, and any two universal
+    vertices are swapped by an automorphism.  So deleting one is, for any
+    k >= 2, a bijection from the unlabeled k-trees with n hedra that have a
+    universal vertex onto the unlabeled (k-1)-trees with n hedra, with
+    adding a universal vertex as its inverse.  For k >= n-1 every k-tree
+    with n hedra has one, so U_k[n] = U_{k-1}[n] and column n is constant
+    from k = n-2 on.
+
+    The last jump is the tree count: U_{n-2}[n] = U_{n-3}[n] + U_1[n-1] for
+    n >= 4, and U_1[n-1] > 0, so no lower k starts the constant run.  By the bijection, the
+    (n-2)-trees with n hedra and a universal vertex number U_{n-3}[n].  In
+    one with none, the first hedron's n-1 vertices must all be dropped by
+    the n-1 later hedra, so each drops exactly one vertex of the running
+    intersection.  Then no front lies in three hedra: the third hedron to
+    contain one contains the running intersection, which lies in the first
+    two and so in their common front, and drops nothing.  So the hedra, joined where they share a
+    front, form a tree on n nodes.  Conversely every tree on n nodes is
+    glued up this way, and the vertices of the running intersection are
+    twins, so which one a hedron drops is unique up to an automorphism: the
+    map to trees is a bijection, and trees on n nodes are the U_1[n-1]
+    1-trees with n-1 hedra.
+
+    So through ``order`` >= 4 the stable row is the U row of one solve at
+    k = order-3, in the stable range of every n <= order-1, with U_1[order-1]
+    added at n = order (:func:`_stable_row`); through order <= 3 it is the
+    k = 1 row.  A solve is exact at each degree up to its order, so either
+    way its whole row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return count_ktrees(_stable_k(order), order).U
+    return _stable_row(order, {k: count_ktrees(k, order).U for k in _stable_ks(order)})

@@ -155,7 +155,30 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
     rows = [[int(v) for v in line.split(",")] for line in out.strip().splitlines()]
     assert rows[:3] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 4)]
     assert rows[3:] == [cli.STABLE_ROW[:7]] * 28  # k = 4..30 and the stable row
-    assert calls == [1, 2, 3, 4]
+    assert calls == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("count", "--k", "40", "--terms", "8"), [(1, 7), (4, 7)]),
+        (("table", "--max-k", "8", "--max-n", "9", "--stable"), [(k, 9) for k in range(1, 7)]),
+        (("stable", "--terms", "17"), [(1, 16), (13, 16)]),
+        (("stable", "--terms", "4"), [(1, 3)]),
+    ],
+)
+def test_the_stable_row_is_solved_one_k_below_the_stable_range(capsys, monkeypatch, argv, solves):
+    # U_{N-3} plus the last jump U_1[N-1] at n = N: no row solves at k = N-2.
+    calls = []
+
+    def recording(k, order):
+        calls.append((k, order))
+        return count_ktrees(k, order)
+
+    monkeypatch.setattr(cli, "count_ktrees", recording)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == solves
 
 
 def test_stable_csv(capsys):
@@ -282,6 +305,22 @@ def test_twotree_pair_failure_names_the_series_and_degree(capsys, monkeypatch):
         "FAIL closedform: 2-tree rooted pair == engine per-type series through order 30"
         " [D differs at degree 7; S differs at degree 5]"
     ]
+
+
+def test_closedform_solves_each_k_once(capsys, monkeypatch):
+    # The 2-tree formula and the rooted pair read one solve at (2, 30).
+    calls = []
+    solve = engine.solve_system
+
+    def recording(k, order):
+        calls.append((k, order))
+        return solve(k, order)
+
+    monkeypatch.setattr(engine, "solve_system", recording)
+    monkeypatch.setattr(cli, "solve_system", recording)
+    code, _, _ = run_cli(capsys, "verify", "--mode", "closedform")
+    assert code == 0
+    assert calls == [(2, 30), (1, 30), (3, 30), (4, 30)]
 
 
 def test_a_closed_form_of_the_wrong_length_names_where_it_ends(capsys, monkeypatch):

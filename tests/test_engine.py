@@ -275,6 +275,24 @@ def test_stable_counts_matches_per_n_definition():
     assert stable_counts(12) == per_n
 
 
+def test_stable_counts_equal_the_row_solved_in_the_stable_range():
+    # stable_counts takes the last jump from the k = 1 row instead.
+    for order in range(19):
+        assert stable_counts(order) == count_ktrees(max(order - 2, 1), order).U, order
+
+
+def test_stable_counts_solve_one_k_below_the_stable_range(monkeypatch):
+    calls = []
+
+    def recording(k, order):
+        calls.append((k, order))
+        return count_ktrees(k, order)
+
+    monkeypatch.setattr(engine, "count_ktrees", recording)
+    stable_counts(16)
+    assert sorted(calls) == [(1, 16), (13, 16)]
+
+
 def test_stable_range_starts_exactly_at_n_minus_2():
     stable = stable_counts(12)
     # One k lower, column n is still short of the tail (by the tree count).
