@@ -40,7 +40,6 @@ from .engine import (
     _stable_row,
     count_ktrees,
     solve_system,
-    stable_counts,
 )
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
@@ -146,19 +145,21 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
 
     U_k[n] is constant for k >= n-2, so every k from _stable_k(order) =
     max(N-2, 1) on prints the stable row; the engine cannot clamp, as B, C
-    and E still vary.  The stable row is built by the last-jump identity
-    (engine._stable_row) from the solves at k = N-3 and k = 1, or at k = 1
-    alone for N <= 3, so no row solves at k = N-2.  Each smaller k is its
-    own solve.  The distinct solves pass the work budget before the first
-    of them runs, and each runs once.
+    and E still vary.  The stable row is built by the last and second jumps
+    (engine._stable_row) from the solves at k = N-4 and k = 1, or at k = 1
+    alone for N <= 5, so no row solves at k = N-3 or N-2.  Each smaller k is
+    its own solve.  The distinct solves pass the work budget before the
+    first of them runs, and each runs once.
     """
     cap = _stable_k(order)
     jump = stable or any(k >= cap for k in ks)
     solves = sorted({*(k for k in ks if k < cap), *(_stable_ks(order) if jump else ())})
     _check_budget(solves, order)
-    by_k = {k: count_ktrees(k, order).U for k in solves}
+    by_k = {k: count_ktrees(k, order) for k in solves}
     tail = _stable_row(order, by_k) if jump else []
-    return [(k, by_k[k] if k < cap else tail) for k in ks] + ([("stable", tail)] if stable else [])
+    return [(k, by_k[k].U if k < cap else tail) for k in ks] + (
+        [("stable", tail)] if stable else []
+    )
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
@@ -200,8 +201,10 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    rows = [(f"row k={k}", count_ktrees(k, 9).U, row) for k, row in REFERENCE_COUNTS.items()]
-    rows.append(("stable row", stable_counts(9), STABLE_ROW))
+    # The stable row reads the k = 1 and k = 5 solves of the rows above.
+    bundles = {k: count_ktrees(k, 9) for k in REFERENCE_COUNTS}
+    rows = [(f"row k={k}", bundles[k].U, row) for k, row in REFERENCE_COUNTS.items()]
+    rows.append(("stable row", _stable_row(9, bundles), STABLE_ROW))
     matches = [sum(a == b for a, b in zip(got, expected)) for _, got, expected in rows]
     checks = [
         _check(f"reference: {name} matches embedded table ({m}/10 cells)",

@@ -1,6 +1,7 @@
-"""Hand-derived counting formulas for k = 1, 2, 3, 4, each solved on its own.
+"""Hand-derived counting formulas for k = 1, 2, 3, 4, each solved on its own,
+and U's second jump below the stable range.
 
-Every formula rests on the paper's per-cycle-type system
+Every formula for one k rests on the paper's per-cycle-type system
 
     Bbar_mu = x * prod_i C_{mu^i}(x^i)          (i over parts of mu)
     C_mu    = exp( sum_{m>=1} Bbar_{mu^m}(x^m) / m ),
@@ -16,7 +17,9 @@ forms (rooted trees R; the directed-edge 2-tree pair D, S).  For k = 3 and
 then combines its series into U on ints too: the combination is multiplied
 through by its common denominator (2, 6, 24 and 120 for k = 1..4) and
 divided by it once per coefficient, and that division must be exact.
-Every result is a plain ``list[int]``, like the engine's rows.
+:func:`second_jump` rests instead on the proof in the engine's
+``stable_counts`` and reads only the rooted trees R.  Every result is a
+plain ``list[int]``, like the engine's rows.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ def _sub(f: list[int], m: int) -> list[int]:
     """f(x^m), truncated at f's own length."""
     out = [0] * len(f)
     out[::m] = f[: (len(f) - 1) // m + 1]
+    return out
+
+
+def _geometric(f: list[int]) -> list[int]:
+    """1 / (1 - f) for f with no constant term, truncated at f's length."""
+    out = [1]
+    for d in range(1, len(f)):
+        out.append(sum(map(operator.mul, f[1 : d + 1], reversed(out))))
     return out
 
 
@@ -121,6 +132,42 @@ def rooted_trees(order: int) -> list[int]:
     """
     r = (1,)
     return _fixed_points(order, {r: ([(r, 1)], lambda m: r)})[r]
+
+
+def second_jump(order: int) -> list[int]:
+    """U's second jump: entry n is U_{n-3}[n] - U_{n-4}[n] for 5 <= n <= order.
+
+    These are the (n-3)-trees with n hedra and no universal vertex, which
+    the proof in :func:`ktrees.engine.stable_counts` counts as
+
+        [x^n] ( Z(S_3; A) + ( A^4/(1 - A) + A_2^2 (1 + A)/(1 - A_2) ) / 2 )
+
+    with A = x R the rooted trees by nodes (R = :func:`rooted_trees`),
+    A_i = A(x^i) and Z(S_3; A) = (A^3 + 3 A A_2 + 2 A_3)/6: one front in
+    three hedra, or two fronts of one color joined by a path of m >= 4
+    hedra, read either way.  Below n = 5 the entries are the series' own
+    coefficients, not a jump.  The two numerators count their shapes 6 and
+    2 times over, and each division must be exact; a remainder raises
+    IntegralityError naming the second jump and the degree.
+
+    >>> second_jump(12)[5:]
+    [6, 19, 56, 171, 512, 1536, 4567, 13577]
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    a = [0, *rooted_trees(order)[:order]]
+    a2 = _sub(a, 2)
+    triples = [x + 3 * y + 2 * z for x, y, z in zip(_mul(a, a, a), _mul(a, a2), _sub(a, 3))]
+    paths = [
+        x + y
+        for x, y in zip(
+            _mul(a, a, a, a, _geometric(a)), _mul(a2, a2, [1, *a[1:]], _geometric(a2))
+        )
+    ]
+    return [
+        _divide(t, 6, f"second jump, degree {n}") + _divide(p, 2, f"second jump, degree {n}")
+        for n, (t, p) in enumerate(zip(triples, paths))
+    ]
 
 
 def otter_U(order: int) -> list[int]:

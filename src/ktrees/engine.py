@@ -430,7 +430,7 @@ def _stable_k(order: int) -> int:
 
     U_k[n] is constant for k >= n-2 (see :func:`stable_counts`), and k >= 1;
     the CLI prints the stable row for this k and every larger one.  That
-    row is not solved here but one k lower, by :func:`_stable_row`.
+    row is not solved here but two k lower, by :func:`_stable_row`.
 
     >>> [_stable_k(n) for n in range(5)]
     [1, 1, 1, 1, 2]
@@ -439,28 +439,73 @@ def _stable_k(order: int) -> int:
 
 
 def _stable_ks(order: int) -> list[int]:
-    """The k whose U rows through ``order`` :func:`_stable_row` reads:
-    1 and order - 3, which is 1 too up to order 4.
+    """The k whose solves through ``order`` :func:`_stable_row` reads:
+    1 and order - 4, which is 1 too up to order 5.
 
-    >>> [_stable_ks(n) for n in (0, 3, 4, 5, 16)]
-    [[1], [1], [1], [1, 2], [1, 13]]
+    >>> [_stable_ks(n) for n in (0, 4, 5, 6, 16)]
+    [[1], [1], [1], [1, 2], [1, 12]]
     """
-    return [1, order - 3] if order > 4 else [1]
+    return [1, order - 4] if order > 5 else [1]
 
 
-def _stable_row(order: int, rows: dict[int, list[int]]) -> list[int]:
-    """The stable row through ``order``, from ``rows``, the U rows through
-    ``order`` of (at least) the k in :func:`_stable_ks`.
+def _second_jump(trees: list[int], n: int) -> int:
+    """U_{n-3}[n] - U_{n-4}[n] for n >= 5, from ``trees``, the rooted trees
+    by edges (the C row of a k = 1 solve) through at least degree n - 1.
 
-    Through order <= 3 it is the k = 1 row.  Otherwise it is the row at
-    k = order - 3, which lies in the stable range of every n < order, with
-    the last jump U_1[order - 1] added at n = order (see
-    :func:`stable_counts`).  The rows are not changed.
+    With A = x * trees the rooted trees by nodes, A_2 = A(x^2) and
+    W = A^2 / (1 - A), so that W(x^2) = A_2^2 / (1 - A_2), it is
+
+        [x^n] (A^3 + 3 A A_2 + 2 A(x^3)) / 6  +  [x^n] (A^2 W + (1 + A) W(x^2)) / 2,
+
+    one front in three hedra and two fronts of one color, the two cases of
+    the proof in :func:`stable_counts`.  Each numerator counts its shapes 6
+    or 2 times over, for any row of ints, so a remainder means a wrong term
+    here: it raises IntegralityError naming the second jump and n.
     """
-    if order < 4:
-        return rows[1]
-    row = rows[order - 3]
-    return [*row[:-1], row[order] + rows[1][order - 1]]
+    a = [0, *trees[:n]]
+
+    def at(f: list[int], g: list[int], d: int) -> int:
+        """[x^d] f * g."""
+        return sum(map(mul, f[: d + 1], reversed(g[: d + 1])))
+
+    recip = [1]  # 1 / (1 - A)
+    for d in range(1, n + 1):
+        recip.append(sum(map(mul, a[1 : d + 1], reversed(recip))))
+    square = [at(a, a, d) for d in range(n + 1)]
+    w = [at(square, recip, d) for d in range(n + 1)]
+    a2, w2 = ([0 if d % 2 else f[d // 2] for d in range(n + 1)] for f in (a, w))
+    jump = 0
+    for num, den in (
+        (at(square, a, n) + 3 * at(a, a2, n) + 2 * (0 if n % 3 else a[n // 3]), 6),
+        (at(square, w, n) + w2[n] + at(a, w2, n), 2),
+    ):
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise IntegralityError.for_quotient(f"second jump, degree {n}", num, den)
+        jump += quotient
+    return jump
+
+
+def _stable_row(order: int, bundles: dict[int, ResultBundle]) -> list[int]:
+    """The stable row through ``order``, from ``bundles``, the solves
+    through ``order`` of (at least) the k in :func:`_stable_ks`.
+
+    It is the U row of the solve at the last k of :func:`_stable_ks`,
+    max(order - 4, 1), which lies in the stable range of every n <= k + 2.
+    Every n >= k + 3 gets the last jump U_1[n - 1], and every n >= k + 4
+    the second jump too, read off the k = 1 solve by :func:`_second_jump`
+    (see :func:`stable_counts`).  So from order 6 on, n = order - 1 gets
+    the last jump and n = order both; through order 5 the row is the k = 1
+    row with its jumps, none through order 3.  The bundles are not changed.
+
+    >>> _stable_row(6, {k: count_ktrees(k, 6) for k in _stable_ks(6)})
+    [1, 1, 1, 2, 5, 15, 64]
+    """
+    k = _stable_ks(order)[-1]
+    k1, row = bundles[1], bundles[k].U[:]
+    for n in range(k + 3, order + 1):
+        row[n] += k1.U[n - 1] + (_second_jump(k1.C, n) if n >= k + 4 else 0)
+    return row
 
 
 def stable_counts(order: int) -> list[int]:
@@ -493,12 +538,59 @@ def stable_counts(order: int) -> list[int]:
     map to trees is a bijection, and trees on n nodes are the U_1[n-1]
     1-trees with n-1 hedra.
 
-    So through ``order`` >= 4 the stable row is the U row of one solve at
-    k = order-3, in the stable range of every n <= order-1, with U_1[order-1]
-    added at n = order (:func:`_stable_row`); through order <= 3 it is the
-    k = 1 row.  A solve is exact at each degree up to its order, so either
-    way its whole row is the tail.
+    The second jump, for n >= 5, is
+
+        U_{n-3}[n] - U_{n-4}[n] = [x^n] ( Z(S_3; A)
+                                  + ( A^4/(1 - A) + A_2^2 (1 + A)/(1 - A_2) ) / 2 )
+
+    with A = sum r(m) x^m the rooted trees by nodes, A_i = A(x^i) and
+    Z(S_3; A) = (A^3 + 3 A A_2 + 2 A_3)/6.  By the bijection it counts the
+    (n-3)-trees with n hedra and no universal vertex.  Color the vertices in
+    the k+1 colors, as the paper's coding trees do.  A hedron has one vertex
+    of each color, so each of its fronts misses one color, the front's
+    color, and it has one front of each color.  Each hedron after the first
+    attaches at a front of an earlier one and adds one vertex, of that
+    front's color, and a front lies in one hedron more than it has
+    attachments (a later hedron that contains it attaches at it, as its new
+    vertex is not in it).  A vertex is universal exactly when no other
+    vertex has its color: two vertices of one color are not adjacent, and
+    every hedron has a vertex of each color.  So a k-tree has no universal
+    vertex exactly when its n-1 attachments use all k+1 colors; at k = n-2
+    each color is used once, which is the last jump again.  At k = n-3 the
+    n-1 attachments use n-2 colors, so exactly one color c is used twice and
+    every other color once, and only a front of color c can lie in three
+    hedra.  Either
+
+    * one front of color c lies in three hedra, and every other shared
+      front in two.  Cutting at that front splits the hedra into three
+      trees, each rooted at a hedron on the front, with n nodes in all: an
+      unordered triple of rooted trees, counted by Z(S_3; A); or
+    * two fronts of color c lie in two hedra each.  The hedra then form a
+      tree on n nodes, as in the last jump, and the two fronts are two of
+      its edges.  A hedron has one front of each color, so the two edges
+      are not incident.  The path of the tree that runs through both has
+      m >= 4 nodes, and with the rooted tree that hangs off each of its
+      nodes it is a sequence of m rooted trees, read either way.  By
+      Burnside over the reversal these number (A^4/(1 - A) + P)/2, with
+      P = A_2^2 (1 + A)/(1 - A_2) the palindromes of m = 2j or 2j+1
+      nodes, j >= 2.
+
+    Conversely, each such shape, with c on its marked fronts and the n-3
+    other colors one to each other shared front, is a coding tree whose
+    hedra each have one front of every color (fronts in one hedron only
+    supply the rest), so a k-tree glues up to it, and it uses every color.
+    Its colors are fixed up to renaming the colors used once, which the
+    paper's color orbits identify, so the k-trees and the shapes
+    correspond one to one up to isomorphism.
+
+    So through ``order`` >= 6 the stable row is the U row of one solve at
+    k = order-4, in the stable range of every n <= order-2, with the last
+    jump added at n = order-1 and both jumps at n = order
+    (:func:`_stable_row`).  The tree counts are the k = 1 row, and A is x
+    times its C row, the rooted trees by edges.  Through order 5 it is the
+    k = 1 row with its jumps.  A solve is exact at each degree up to its
+    order, so either way its whole row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return _stable_row(order, {k: count_ktrees(k, order).U for k in _stable_ks(order)})
+    return _stable_row(order, {k: count_ktrees(k, order) for k in _stable_ks(order)})

@@ -161,14 +161,15 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, solves",
     [
-        (("count", "--k", "40", "--terms", "8"), [(1, 7), (4, 7)]),
+        (("count", "--k", "40", "--terms", "8"), [(1, 7), (3, 7)]),
         (("table", "--max-k", "8", "--max-n", "9", "--stable"), [(k, 9) for k in range(1, 7)]),
-        (("stable", "--terms", "17"), [(1, 16), (13, 16)]),
+        (("stable", "--terms", "17"), [(1, 16), (12, 16)]),
         (("stable", "--terms", "4"), [(1, 3)]),
     ],
 )
 def test_the_stable_row_is_solved_one_k_below_the_stable_range(capsys, monkeypatch, argv, solves):
-    # U_{N-3} plus the last jump U_1[N-1] at n = N: no row solves at k = N-2.
+    # U_{N-4} plus the last jump at n = N-1 and both jumps at n = N: no row
+    # solves at k = N-3 or N-2.
     calls = []
 
     def recording(k, order):
@@ -554,7 +555,7 @@ def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
         raise AssertionError("a refused query must not be solved")
 
     monkeypatch.setattr(cli, "count_ktrees", never)
-    monkeypatch.setattr(cli, "stable_counts", never)
+    monkeypatch.setattr(engine, "solve_system", never)
     for argv in (
         ["count", "--k", "40", "--terms", "200"],
         ["count", "--k", "99", "--terms", "101"],  # p(99) ~ 1.7e8 partitions
@@ -581,6 +582,14 @@ def test_work_budget_edge():
     cli._check_budget([30], 31)
     with pytest.raises(cli._QueryTooLarge):
         cli._check_budget(list(range(1, 31)), 31)
+
+
+def test_the_stable_row_budget_edge():
+    # stable --terms 36 solves (1, 35) and (31, 35) and fits; --terms 37
+    # would solve (32, 36) and is refused.  Nothing is solved here.
+    cli._check_budget(engine._stable_ks(35), 35)
+    with pytest.raises(cli._QueryTooLarge):
+        cli._check_budget(engine._stable_ks(36), 36)
 
 
 def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():

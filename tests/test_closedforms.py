@@ -11,6 +11,7 @@ from ktrees.closedforms import (
     fourtree_U,
     otter_U,
     rooted_trees,
+    second_jump,
     threetree_U,
     twotree_U,
     twotree_rooted_series,
@@ -111,12 +112,41 @@ def test_all_closed_forms_agree_with_engine_through_30():
 
 
 @pytest.mark.parametrize(
-    "solve", [rooted_trees, otter_U, twotree_rooted_series, twotree_U, threetree_U, fourtree_U]
+    "solve",
+    [rooted_trees, otter_U, twotree_rooted_series, twotree_U, threetree_U, fourtree_U, second_jump],
 )
 @pytest.mark.parametrize("order", [-1, -3])
 def test_a_negative_order_is_refused_like_the_engine(solve, order):
     with pytest.raises(ValueError, match=f"^order must be >= 0, got {order}$"):
         solve(order)
+
+
+def test_second_jump_reference_values():
+    assert second_jump(12)[5:] == [6, 19, 56, 171, 512, 1536, 4567, 13577]
+
+
+def test_second_jump_equals_the_engine_through_20():
+    # One solve per k at order 20: by monotone truncation its row holds
+    # U_k[n] for every n <= 20.
+    u = {k: count_ktrees(k, 20).U for k in range(1, 18)}
+    jump = second_jump(20)
+    assert all(type(j) is int for j in jump)
+    for n in range(5, 21):
+        assert u[n - 3][n] - u[n - 4][n] == jump[n], n
+
+
+def test_the_engine_reads_the_same_second_jump_off_its_k1_solve():
+    trees = count_ktrees(1, 30).C
+    assert [engine._second_jump(trees, n) for n in range(5, 31)] == second_jump(30)[5:]
+
+
+def test_a_second_jump_remainder_names_the_degree(monkeypatch):
+    # Every integer A gives integer counts, so only a wrong term leaves a
+    # remainder: here A(x^4) is read for A(x^3).
+    sub = closedforms._sub
+    monkeypatch.setattr(closedforms, "_sub", lambda f, m: sub(f, 4 if m == 3 else m))
+    with pytest.raises(IntegralityError, match=r"^second jump, degree 3: 2/3 is not an integer$"):
+        second_jump(12)
 
 
 def test_twotree_internals_match_engine_tables():
@@ -191,10 +221,10 @@ def test_a_wrong_engine_coefficient_fails_the_closed_form_check(monkeypatch, k, 
     )
 
 
-def _closedforms_imports() -> set[str]:
-    """Every module and ``module.name`` that closedforms' source imports."""
+def _imports(module) -> set[str]:
+    """Every module and ``module.name`` that ``module``'s source imports."""
     imported = set()
-    for node in ast.walk(ast.parse(Path(closedforms.__file__).read_text())):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             base = node.module or ""
             imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
@@ -204,14 +234,20 @@ def _closedforms_imports() -> set[str]:
 
 
 def test_closedforms_imports_nothing_from_the_engine_or_partitions():
-    imported = _closedforms_imports()
+    imported = _imports(closedforms)
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"engine", "partitions"}, sorted(imported)
 
 
+def test_the_engine_imports_nothing_from_the_closed_forms():
+    # Its second jump is its own route, from its k = 1 solve.
+    imported = _imports(engine)
+    assert "closedforms" not in {part for name in imported for part in name.split(".")}
+
+
 def test_closedforms_run_on_ints_without_fractions_or_series():
     # Only the error type comes from the series module.
-    imported = _closedforms_imports()
+    imported = _imports(closedforms)
     assert "fractions" not in imported, sorted(imported)
     assert {name for name in imported if name.startswith("series.")} == {
         "series.IntegralityError"

@@ -276,7 +276,7 @@ def test_stable_counts_matches_per_n_definition():
 
 
 def test_stable_counts_equal_the_row_solved_in_the_stable_range():
-    # stable_counts takes the last jump from the k = 1 row instead.
+    # stable_counts takes both jumps from the k = 1 solve instead.
     for order in range(19):
         assert stable_counts(order) == count_ktrees(max(order - 2, 1), order).U, order
 
@@ -290,7 +290,7 @@ def test_stable_counts_solve_one_k_below_the_stable_range(monkeypatch):
 
     monkeypatch.setattr(engine, "count_ktrees", recording)
     stable_counts(16)
-    assert sorted(calls) == [(1, 16), (13, 16)]
+    assert sorted(calls) == [(1, 16), (12, 16)]
 
 
 def test_stable_range_starts_exactly_at_n_minus_2():
@@ -301,6 +301,15 @@ def test_stable_range_starts_exactly_at_n_minus_2():
     # A solve at k = N-2 is the stable row through N, not just at N.
     for order in range(3, 15):
         assert count_ktrees(order - 2, order).U == count_ktrees(order - 1, order).U, order
+
+
+def test_a_second_jump_remainder_names_the_degree(monkeypatch):
+    # The jump's counts are integers for every row of ints, so only a wrong
+    # product leaves a remainder: here each term of a product is one over.
+    trees = count_ktrees(1, 12).C
+    monkeypatch.setattr(engine, "mul", lambda x, y: x * y + 1)
+    with pytest.raises(IntegralityError, match=r"^second jump, degree 5: 37/3 is not an integer$"):
+        engine._second_jump(trees, 5)
 
 
 def test_stable_counts_trivial():

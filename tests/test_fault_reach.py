@@ -10,14 +10,16 @@ with the check, never narrow it to let a change pass.
 Every structural fault below (a wrong period, split, centralizer order,
 divisor or multiplicity) is caught only by the engine's exact-division
 check, in the first suite, so it stops verify before any check line.  The
-two integrality-preserving bumps escape every check today.
+two integrality-preserving bumps escape every check of verify today.  The
+last test plants the C_(4,2)[10] bump against U's second jump, an identity
+tier-1 checks but verify does not yet (ROADMAP item 10).
 """
 
 from math import factorial, prod
 
 import pytest
 
-from ktrees import cli, engine, partitions
+from ktrees import cli, closedforms, engine, partitions
 
 UNTIL_ITEM_2 = "no check reaches it before the per-permutation route (ROADMAP item 2)"
 
@@ -117,3 +119,12 @@ def test_verify_reach(capsys, monkeypatch, plant, code, failing, where):
     else:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"internal error: non-integer count ({where}")
+
+
+def test_the_second_jump_catches_the_c42_bump_at_n_10_alone(monkeypatch):
+    # The bump moves U_6[10] by 1, which only the jump at n = 10,
+    # U_7[10] - U_6[10], reads; U_6[9] stays.
+    _bump("c", (4, 2), 10, 8)(monkeypatch)
+    u = {k: engine.count_ktrees(k, 20).U for k in range(1, 18)}
+    jump = closedforms.second_jump(20)
+    assert [n for n in range(5, 21) if u[n - 3][n] - u[n - 4][n] != jump[n]] == [10]
