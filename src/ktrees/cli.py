@@ -33,14 +33,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
-from .engine import (
-    _count_from,
-    _stable_k,
-    _stable_ks,
-    _stable_row,
-    count_ktrees,
-    solve_system,
-)
+from .engine import _count_from, _row, _solves, count_ktrees, solve_system
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
 from .series import IntegralityError
@@ -143,23 +136,22 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    U_k[n] is constant for k >= n-2, so every k from _stable_k(order) =
-    max(N-2, 1) on prints the stable row; the engine cannot clamp, as B, C
-    and E still vary.  The stable row is built by the last and second jumps
-    (engine._stable_row) from the solves at k = N-4 and k = 1, or at k = 1
-    alone for N <= 5, so no row solves at k = N-3 or N-2.  Each smaller k is
-    its own solve.  The distinct solves pass the work budget before the
-    first of them runs, and each runs once.
+    Each row k is engine._row of the solves engine._solves names for it,
+    and the stable row is the row k = N + 1.  Up to k = max(N - 4, 1) a
+    row is its own solve; every row above it, the stable row included, is
+    built from the solves at that k and at k = 1 by U's last and second
+    jumps.  So no row solves above k = N - 4, and a large k enumerates
+    nothing.  The distinct solves pass the work budget before the first of
+    them runs, and each runs once.  A row past k = N + 1 is the stable row
+    (no column n <= N changes there), so each distinct row is built once,
+    however many k a table asks for.
     """
-    cap = _stable_k(order)
-    jump = stable or any(k >= cap for k in ks)
-    solves = sorted({*(k for k in ks if k < cap), *(_stable_ks(order) if jump else ())})
+    wanted = [(k, min(k, order + 1)) for k in ks] + ([("stable", order + 1)] if stable else [])
+    solves = sorted({s for _, k in wanted for s in _solves(k, order)})
     _check_budget(solves, order)
-    by_k = {k: count_ktrees(k, order) for k in solves}
-    tail = _stable_row(order, by_k) if jump else []
-    return [(k, by_k[k].U if k < cap else tail) for k in ks] + (
-        [("stable", tail)] if stable else []
-    )
+    bundles = {k: count_ktrees(k, order) for k in solves}
+    rows = {k: _row(k, order, bundles) for k in {k for _, k in wanted}}
+    return [(label, rows[k]) for label, k in wanted]
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
@@ -201,10 +193,11 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    # The stable row reads the k = 1 and k = 5 solves of the rows above.
+    # The stable row, row k = 10, reads the k = 1 and k = 5 solves of the
+    # rows above.
     bundles = {k: count_ktrees(k, 9) for k in REFERENCE_COUNTS}
     rows = [(f"row k={k}", bundles[k].U, row) for k, row in REFERENCE_COUNTS.items()]
-    rows.append(("stable row", _stable_row(9, bundles), STABLE_ROW))
+    rows.append(("stable row", _row(10, 9, bundles), STABLE_ROW))
     matches = [sum(a == b for a, b in zip(got, expected)) for _, got, expected in rows]
     checks = [
         _check(f"reference: {name} matches embedded table ({m}/10 cells)",

@@ -67,6 +67,7 @@ from functools import cached_property
 from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mul
+from types import SimpleNamespace
 from typing import Iterable
 
 from .partitions import (
@@ -79,9 +80,10 @@ from .partitions import (
 from .series import IntegralityError, Series
 
 
-class SeriesCache:
+class SeriesCache(SimpleNamespace):
     """Solved per-cycle-type integer tables for one (k, order) computation.
 
+    Built with the keywords ``k``, ``order``, ``c``, ``bbar`` and ``b``.
     ``c`` and ``bbar`` hold C_mu and Bbar_mu, keyed by exactly the
     partitions mu of k in the order of ``partitions_of(k)``; ``b`` holds
     B_lam, keyed by exactly the partitions lam of k+1 in the order of
@@ -91,18 +93,8 @@ class SeriesCache:
     every table has order + 1 coefficients, all correct.  ``c_table`` and
     ``bbar_table`` are the same C_mu and Bbar_mu as :class:`Series`, built
     on first read; nothing in the package reads them, only the benchmark's
-    trace and the tests.
+    trace.
     """
-
-    def __init__(
-        self,
-        k: int,
-        order: int,
-        c: dict[Partition, list[int]],
-        bbar: dict[Partition, list[int]],
-        b: dict[Partition, list[int]],
-    ):
-        self.k, self.order, self.c, self.bbar, self.b = k, order, c, bbar, b
 
     @cached_property
     def _mu_weights(self) -> list[int]:
@@ -119,7 +111,7 @@ class SeriesCache:
         return {mu: Series(self.order, coeffs) for mu, coeffs in self.bbar.items()}
 
 
-class ResultBundle:
+class ResultBundle(SimpleNamespace):
     """Integer coefficient vectors for one (k, order) run.
 
     ``U[n]`` is the number of unlabeled k-trees with n hedra (n+k vertices);
@@ -127,19 +119,11 @@ class ResultBundle:
     Two bundles are equal when all six fields are.
     """
 
-    def __init__(
-        self, k: int, order: int, U: list[int], B: list[int], C: list[int], E: list[int]
-    ):
-        self.k, self.order, self.U, self.B, self.C, self.E = k, order, U, B, C, E
+    def __init__(self, k: int, order: int, U: list[int], B: list[int], C: list[int], E: list[int]):
+        super().__init__(k=k, order=order, U=U, B=B, C=C, E=E)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResultBundle):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"ResultBundle({fields})"
+    def __reduce__(self):  # SimpleNamespace's would call __init__ with no arguments
+        return ResultBundle, (self.k, self.order, self.U, self.B, self.C, self.E)
 
 
 def _divisor_table(n: int) -> list[list[int]]:
@@ -425,27 +409,18 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
 
 # Private: the benchmark's tracer (perfbench/spans.py) reads the result of
 # every public engine function as a row of counts.
-def _stable_k(order: int) -> int:
-    """The least k whose counts of 0..order hedra all lie in the stable range.
+def _solves(k: int, order: int) -> list[int]:
+    """The k whose solves through ``order`` :func:`_row` reads for row k.
 
-    U_k[n] is constant for k >= n-2 (see :func:`stable_counts`), and k >= 1;
-    the CLI prints the stable row for this k and every larger one.  That
-    row is not solved here but two k lower, by :func:`_stable_row`.
+    Up to base = max(order - 4, 1) that is k alone.  Above it, it is 1 and
+    base, which is 1 alone through order 5: each such row is the solve at
+    base plus the two jumps (see :func:`stable_counts`).
 
-    >>> [_stable_k(n) for n in range(5)]
-    [1, 1, 1, 1, 2]
+    >>> [_solves(k, 9) for k in (4, 5, 6, 10)], _solves(3, 5)
+    ([[4], [5], [1, 5], [1, 5]], [1])
     """
-    return max(order - 2, 1)
-
-
-def _stable_ks(order: int) -> list[int]:
-    """The k whose solves through ``order`` :func:`_stable_row` reads:
-    1 and order - 4, which is 1 too up to order 5.
-
-    >>> [_stable_ks(n) for n in (0, 4, 5, 6, 16)]
-    [[1], [1], [1], [1, 2], [1, 12]]
-    """
-    return [1, order - 4] if order > 5 else [1]
+    base = max(order - 4, 1)
+    return [k] if k <= base else sorted({1, base})
 
 
 def _second_jump(trees: list[int], n: int) -> int:
@@ -486,25 +461,33 @@ def _second_jump(trees: list[int], n: int) -> int:
     return jump
 
 
-def _stable_row(order: int, bundles: dict[int, ResultBundle]) -> list[int]:
-    """The stable row through ``order``, from ``bundles``, the solves
-    through ``order`` of (at least) the k in :func:`_stable_ks`.
+def _row(k: int, order: int, bundles: dict[int, ResultBundle]) -> list[int]:
+    """Row k of U through ``order``, from ``bundles``, the solves through
+    ``order`` of (at least) the k in :func:`_solves`.
 
-    It is the U row of the solve at the last k of :func:`_stable_ks`,
-    max(order - 4, 1), which lies in the stable range of every n <= k + 2.
-    Every n >= k + 3 gets the last jump U_1[n - 1], and every n >= k + 4
-    the second jump too, read off the k = 1 solve by :func:`_second_jump`
-    (see :func:`stable_counts`).  So from order 6 on, n = order - 1 gets
-    the last jump and n = order both; through order 5 the row is the k = 1
-    row with its jumps, none through order 3.  The bundles are not changed.
+    With base = max(order - 4, 1), a row k <= base is its own solve's U row.
+    A row above it is U_base plus the jumps of each column n that lie
+    between base and k (see :func:`stable_counts`): the last jump U_1[n - 1]
+    where base <= n - 3 < k, and the second jump, read off the k = 1 solve
+    by :func:`_second_jump`, where base <= n - 4 < k.  As order <= base + 4
+    and k > base, n - 4 < k always holds.  So from order 6 on the row
+    k = order - 3 adds the last jump at n = order - 1 and the second at
+    n = order, and every k >= order - 2 is the stable row, with the last
+    jump at n = order too.  The bundles are not changed.
 
-    >>> _stable_row(6, {k: count_ktrees(k, 6) for k in _stable_ks(6)})
-    [1, 1, 1, 2, 5, 15, 64]
+    >>> bundles = {k: count_ktrees(k, 6) for k in _solves(7, 6)}
+    >>> _row(2, 6, bundles), _row(3, 6, bundles), _row(7, 6, bundles)
+    ([1, 1, 1, 2, 5, 12, 39], [1, 1, 1, 2, 5, 15, 58], [1, 1, 1, 2, 5, 15, 64])
     """
-    k = _stable_ks(order)[-1]
-    k1, row = bundles[1], bundles[k].U[:]
-    for n in range(k + 3, order + 1):
-        row[n] += k1.U[n - 1] + (_second_jump(k1.C, n) if n >= k + 4 else 0)
+    base = max(order - 4, 1)
+    if k <= base:
+        return bundles[k].U
+    k1, row = bundles[1], bundles[base].U[:]
+    for n in range(base + 3, order + 1):
+        if n - 3 < k:
+            row[n] += k1.U[n - 1]
+        if n - 4 >= base:
+            row[n] += _second_jump(k1.C, n)
     return row
 
 
@@ -583,14 +566,17 @@ def stable_counts(order: int) -> list[int]:
     paper's color orbits identify, so the k-trees and the shapes
     correspond one to one up to isomorphism.
 
-    So through ``order`` >= 6 the stable row is the U row of one solve at
-    k = order-4, in the stable range of every n <= order-2, with the last
-    jump added at n = order-1 and both jumps at n = order
-    (:func:`_stable_row`).  The tree counts are the k = 1 row, and A is x
-    times its C row, the rooted trees by edges.  Through order 5 it is the
-    k = 1 row with its jumps.  A solve is exact at each degree up to its
-    order, so either way its whole row is the tail.
+    So through ``order`` every row at or above k = order - 4 is built from
+    two solves, at base = max(order - 4, 1) and at k = 1 (:func:`_solves`),
+    by adding to U_base the jumps that lie between base and k
+    (:func:`_row`); the stable row is the row k = order + 1.  From order 6
+    on, U_base lies in the stable range of every n <= order - 2, and the
+    stable row adds the last jump at n = order - 1 and both jumps at
+    n = order.  The tree counts are the k = 1 row, and A is x times its C
+    row, the rooted trees by edges.  Through order 5 it is the k = 1 row
+    with its jumps.  A solve is exact at each degree up to its order, so
+    either way its whole row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return _stable_row(order, {k: count_ktrees(k, order) for k in _stable_ks(order)})
+    return _row(order + 1, order, {k: count_ktrees(k, order) for k in _solves(order + 1, order)})

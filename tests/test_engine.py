@@ -1,6 +1,8 @@
 """Engine tests: pinned small values, structural identities, invariants."""
 
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
@@ -8,6 +10,7 @@ from math import factorial
 import pytest
 
 from ktrees import engine
+from ktrees.cli import REFERENCE_COUNTS
 from ktrees.engine import (
     compute_B,
     compute_C,
@@ -81,15 +84,15 @@ def test_rooted_tree_oracle_matches_frozen_counts():
 
 def test_solved_identity_series_counts_rooted_trees():
     cache = solve_system(1, 3)
-    assert integer_coeffs(cache.c_table[(1,)]) == ROOTED_TREE_COUNTS
+    assert cache.c[(1,)] == ROOTED_TREE_COUNTS
 
 
 def test_degree_zero_tables():
     for k in range(1, 5):
         cache = solve_system(k, 0)
         for mu in partitions_of(k):
-            assert integer_coeffs(cache.c_table[mu]) == [1]
-            assert integer_coeffs(cache.bbar_table[mu]) == [0]
+            assert cache.c[mu] == [1]
+            assert cache.bbar[mu] == [0]
         # Every B_lam table, fixed-point-free ones included: nothing at
         # order 0, and at order 1 the lone black vertex every permutation fixes.
         cache1 = solve_system(k, 1)
@@ -101,7 +104,7 @@ def test_degree_zero_tables():
 def test_reduced_blackrooted_linear_term_is_one():
     # Degree 1 of Bbar is forced: a lone black root with bare colored leaves.
     cache = solve_system(2, 3)
-    assert cache.bbar_table[(1, 1)].coeffs[1] == 1
+    assert cache.bbar[(1, 1)][1] == 1
 
 
 def test_black_rooted_single_edge_tree():
@@ -121,7 +124,8 @@ def test_black_rooted_under_color_swap():
 def test_black_rooted_three_cycle_structure():
     # For k=2 and the 3-cycle type, the product collapses to x*C_{1,1}(x^3).
     cache = solve_system(2, 9)
-    expected = resized(times_x(substitute_power(resized(cache.c_table[(1, 1)], 8), 3)), 9)
+    c11 = Series(cache.order, cache.c[(1, 1)])
+    expected = resized(times_x(substitute_power(resized(c11, 8), 3)), 9)
     assert Series(cache.order, cache.b[(3,)]) == expected
 
 
@@ -144,7 +148,7 @@ def test_B_lambda_matches_substituted_product():
         for lam in partitions_of(k + 1):
             factors = [
                 substitute_power(
-                    resized(cache.c_table[drop_one_fixed_point(cycle_power(lam, i))], 9), i
+                    resized(Series(10, cache.c[drop_one_fixed_point(cycle_power(lam, i))]), 9), i
                 )
                 for i in lam
             ]
@@ -154,7 +158,7 @@ def test_B_lambda_matches_substituted_product():
 def test_black_aggregate_identity_k1():
     # B = (x/2)(R(x)^2 + R(x^2)) as an identity of computed series.
     cache = solve_system(1, 12)
-    r = cache.c_table[(1,)]
+    r = Series(12, cache.c[(1,)])
     expected = scale(
         resized(times_x(add(mul(r, r), substitute_power(r, 2))), 12),
         Fraction(1, 2),
@@ -178,19 +182,20 @@ def test_black_aggregate_linear_term_k2():
 
 def test_colored_aggregate_identities():
     cache1 = solve_system(1, 10)
-    assert compute_C(cache1) == integer_coeffs(cache1.c_table[(1,)])
+    assert compute_C(cache1) == cache1.c[(1,)]
     cache2 = solve_system(2, 10)
-    expected = scale(add(cache2.c_table[(1, 1)], cache2.c_table[(2,)]), Fraction(1, 2))
+    c11, c2 = Series(10, cache2.c[(1, 1)]), Series(10, cache2.c[(2,)])
+    expected = scale(add(c11, c2), Fraction(1, 2))
     assert compute_C(cache2) == integer_coeffs(expected)
 
 
 def test_edge_aggregate_identities():
     cache1 = solve_system(1, 10)
-    r = cache1.c_table[(1,)]
+    r = Series(10, cache1.c[(1,)])
     assert compute_E(cache1) == integer_coeffs(resized(times_x(mul(r, r)), 10))
 
     cache2 = solve_system(2, 10)
-    c11, c2 = cache2.c_table[(1, 1)], cache2.c_table[(2,)]
+    c11, c2 = Series(10, cache2.c[(1, 1)]), Series(10, cache2.c[(2,)])
     cubed = mul(mul(c11, c11), c11)
     pair = mul(substitute_power(c11, 2), c2)
     expected = scale(resized(times_x(add(cubed, pair)), 10), Fraction(1, 2))
@@ -208,6 +213,17 @@ def test_dissymmetry_bundle_consistency():
     for n in range(13):
         assert bundle.U[n] == bundle.B[n] + bundle.C[n] - bundle.E[n]
         assert bundle.U[n] >= 0
+
+
+def test_a_bundle_is_a_value_that_pickles_and_copies():
+    bundle = count_ktrees(1, 3)
+    fields = "k=1, order=3, U=[1, 1, 1, 2], B=[0, 1, 1, 3], C=[1, 1, 2, 4], E=[0, 1, 2, 5]"
+    assert repr(bundle) == f"ResultBundle({fields})"
+    rows = [1, 1, 1, 2], [0, 1, 1, 3], [1, 1, 2, 4], [0, 1, 2, 5]
+    assert bundle == engine.ResultBundle(1, 3, *rows)
+    assert bundle != count_ktrees(2, 3)
+    for twin in (pickle.loads(pickle.dumps(bundle)), copy.copy(bundle), copy.deepcopy(bundle)):
+        assert type(twin) is engine.ResultBundle and twin == bundle
 
 
 def test_engine_results_are_plain_int_lists():
@@ -261,8 +277,8 @@ def test_per_type_tables_are_nonnegative_integers():
     for k in range(1, 5):
         cache = solve_system(k, 10)
         for mu in partitions_of(k):
-            assert all(c >= 0 for c in integer_coeffs(cache.c_table[mu]))
-            assert all(c >= 0 for c in integer_coeffs(cache.bbar_table[mu]))
+            assert all(type(c) is int and c >= 0 for c in cache.c[mu])
+            assert all(type(c) is int and c >= 0 for c in cache.bbar[mu])
 
 
 def test_stable_counts_reference():
@@ -303,6 +319,19 @@ def test_stable_range_starts_exactly_at_n_minus_2():
         assert count_ktrees(order - 2, order).U == count_ktrees(order - 1, order).U, order
 
 
+def test_every_row_built_from_its_solves_is_the_row_solved_directly():
+    # A row up to base = max(N-4, 1) is its own solve; every row above it,
+    # through the stable row k = N+1 and one past it, is U_base plus the
+    # jumps between, read off the k = 1 solve.
+    for order in range(15):
+        solved = {k: count_ktrees(k, order) for k in range(1, order + 3)}
+        for k in solved:
+            bundles = {s: solved[s] for s in engine._solves(k, order)}
+            assert engine._row(k, order, bundles) == solved[k].U, (k, order)
+    # The reference suite's stable row reads only the rows it solves.
+    assert set(engine._solves(10, 9)) <= set(REFERENCE_COUNTS)
+
+
 def test_a_second_jump_remainder_names_the_degree(monkeypatch):
     # The jump's counts are integers for every row of ints, so only a wrong
     # product leaves a remainder: here each term of a product is one over.
@@ -331,8 +360,8 @@ def test_count_fixed_identity_type_vs_tables():
     cache = solve_system(2, 6)
     fixed = count_fixed_by_type(cache, (1, 1, 1))
     b = Series(cache.order, cache.b[(1, 1, 1)])
-    c = cache.c_table[(1, 1)]
-    e = mul(cache.bbar_table[(1, 1)], c)
+    c = Series(cache.order, cache.c[(1, 1)])
+    e = mul(Series(cache.order, cache.bbar[(1, 1)]), c)
     expected = integer_coeffs(add(b, scale(add(c, scale(e, -1)), 3)))
     assert fixed == expected
 
@@ -400,8 +429,8 @@ def test_integer_solve_matches_rational_full_recompute():
     for k in range(1, 7):
         c, bbar = full_recompute_solve(k, order)
         cache = solve_system(k, order)
-        assert cache.c_table == c, k
-        assert cache.bbar_table == bbar, k
+        assert {mu: Series(order, t) for mu, t in cache.c.items()} == c, k
+        assert {mu: Series(order, t) for mu, t in cache.bbar.items()} == bbar, k
 
         # Burnside averages with Fraction weights 1/z over the reference tables.
         b_ref = zero(order)
