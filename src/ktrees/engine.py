@@ -44,8 +44,10 @@ a column at a time across all series of a kind.  That bookkeeping names
 each cycle type once, by its index in the enumeration of the partitions
 of k (or of k+1): the power map mu -> mu^m is a row of indices, one
 :func:`cycle_power` per type and prime p whose p-th power moves it, with
-every other row composed from those.  The per-type tables become dicts
-keyed by the partitions only when the solve returns.
+every other row composed from those, and there is a row for every part of
+every mu whatever the order.  A lam = mu + (1,) looks mu up by its key, as
+E looks up each mu + (1,).  The per-type tables become dicts keyed by the
+partitions only when the solve returns.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -87,13 +89,12 @@ class SeriesCache(SimpleNamespace):
     ``c`` and ``bbar`` hold C_mu and Bbar_mu, keyed by exactly the
     partitions mu of k in the order of ``partitions_of(k)``; ``b`` holds
     B_lam, keyed by exactly the partitions lam of k+1 in the order of
-    ``partitions_of(k + 1)``.  :func:`compute_E` depends on that order: it
-    pairs the lam ending in 1 with the mu by position, as the lam ending in
-    1 are the mu + (1,) in the order of the mu.  After :func:`solve_system`
-    every table has order + 1 coefficients, all correct.  ``c_table`` and
-    ``bbar_table`` are the same C_mu and Bbar_mu as :class:`Series`, built
-    on first read; nothing in the package reads them, only the benchmark's
-    trace.
+    ``partitions_of(k + 1)``.  The aggregates look every type up by its
+    key; the order is what a table's repr, and so a digest of it, follows.
+    After :func:`solve_system` every table has order + 1 coefficients, all
+    correct.  ``c_table`` and ``bbar_table`` are the same C_mu and Bbar_mu
+    as :class:`Series`, built on first read; nothing in the package reads
+    them, only the benchmark's trace.
     """
 
     @cached_property
@@ -216,11 +217,13 @@ def solve_system(k: int, order: int) -> SeriesCache:
 
     Both lists name a type by its index s in ``partitions_of(k)``.  The
     powers mu^m come from :func:`_power_rows`: a row of indices for each
-    prime p <= order, which costs one :func:`cycle_power` per type whose
-    period lcm(mu) p divides, and every other row m composed as row p of
-    row m/p.  The lam ending in 1 are the mu + (1,) in the same order, so
-    the B_lam with a fixed point read mu's rows in turn; a B_lam without
-    one costs one :func:`cycle_power` per distinct part.
+    m <= max(k, order), a prime p costing one :func:`cycle_power` per type
+    whose period lcm(mu) p divides, and every other row m composed as row p
+    of row m/p.  So every part of every mu has a row; a part i >= order
+    divides no degree the products reach, so it adds nothing.  A B_lam with
+    a fixed point reads the rows of mu = lam minus that point, found by its
+    key; a B_lam without one costs one :func:`cycle_power` per distinct
+    part.
 
     Every division must be exact, and a remainder raises IntegralityError
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
@@ -236,11 +239,12 @@ def solve_system(k: int, order: int) -> SeriesCache:
         raise ValueError(f"order must be >= 0, got {order}")
 
     # A type mu |- k is named by its index s in mus, and its tables are lists.
+    # Every part of every mu has a power row, however small the order.
     mus = partitions_of(k)
     lams = partitions_of(k + 1)
     index = {mu: s for s, mu in enumerate(mus)}
     divs = _divisor_table(order)
-    rows = _power_rows(mus, index, order)
+    rows = _power_rows(mus, index, max(k, order))
 
     c = [[1] for _ in mus]
     bbar = [[0, 1][: order + 1] for _ in mus]
@@ -254,37 +258,27 @@ def solve_system(k: int, order: int) -> SeriesCache:
 
     # Products as (where, series, parts, s).  For Bbar_mu, and for B_lam with
     # lam = mu + (1,), the factor of part i is C_nu(x^i) with nu = mu^i, the
-    # type mus[rows[i][s]].  The lams ending in 1 are the mu + (1,) in the
-    # order of mus, so s counts them.  A lam with no fixed point (s is None)
-    # takes nu = lam^i minus one fixed point.
+    # type mus[rows[i][s]].  A lam with no fixed point (s is None) takes
+    # nu = lam^i minus one fixed point.
     products = list(zip(repeat(where_bbar), bbar, mus, range(len(mus))))
-    fixed = iter(range(len(mus)))
     products += [
-        (where_b, table, lam, next(fixed) if lam[-1] == 1 else None)
+        (where_b, table, lam, index[lam[:-1]] if lam[-1] == 1 else None)
         for lam, table in zip(lams, b)
     ]
     one_part, steps = [], []
     # Part i's column: each product's weight (multiplicity * i) and the a_nu
     # it scales, with weight 0 on a zero source where i is no part of it.
-    # Every part i <= k is in some product of two parts or more (i, 1, ...),
-    # and parts i >= order divide no degree below order.
+    # Every part i <= k is in some product of two parts or more (i, 1, ...).
     unused = [0] * order
-    columns = {
-        i: ([0] * len(products), [unused] * len(products))
-        for i in range(1, min(k, order - 1) + 1)
-    }
+    columns = {i: ([0] * len(products), [unused] * len(products)) for i in range(1, k + 1)}
     for where, series, parts, s in products:
         if s is None:
-            nus = {
-                i: index[drop_one_fixed_point(cycle_power(parts, i))]
-                for i in set(parts)
-                if i < order
-            }
+            nus = {i: index[drop_one_fixed_point(cycle_power(parts, i))] for i in set(parts)}
         else:
-            nus = {i: rows[i][s] for i in set(parts) if i < order}
+            nus = {i: rows[i][s] for i in set(parts)}
         if len(parts) == 1:
-            # C_nu(x^i) itself, with no term to read when i >= order.
-            one_part.append((series, c[nus[parts[0]]] if nus else None, parts[0]))
+            # C_nu(x^i) itself.
+            one_part.append((series, c[nus[parts[0]]], parts[0]))
             continue
         j = len(steps)
         for i, nu in nus.items():
@@ -357,10 +351,9 @@ def compute_E(cache: SeriesCache) -> list[int]:
     Cutting the root edge of an edge-rooted tree leaves a colored-rooted
     tree and a reduced black-rooted tree, independently fixed.  Their
     product Bbar_mu * C_mu is B_{mu+(1,)}, read off the solve's table for
-    mu + (1,).  The lam ending in 1 are the mu + (1,), in the same order as
-    the mu (see :class:`SeriesCache`), so E reads them in turn.
+    the key mu + (1,).
     """
-    fixed = [table for lam, table in cache.b.items() if lam[-1] == 1]
+    fixed = [cache.b[(*mu, 1)] for mu in cache.c]
     return _orbit_average(cache, "E", cache._mu_weights, fixed)
 
 
@@ -394,17 +387,17 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     that pi preserves.  The root color of a colored or edge rooting must be
     one of the f fixed colors of pi, hence the factor f.  The black term is
     B_lam from ``cache.b``; with a fixed color, lam = mu + (1,) and the edge
-    term Bbar_mu * C_mu is that same B_lam.
+    term Bbar_mu * C_mu is that same B_lam, with C_mu read at the key
+    mu = lam minus its last part.
     """
     lam = tuple(sorted(lam, reverse=True))
     if lam not in cache.b:
         raise ValueError(f"expected a partition of {cache.k + 1}, got {lam}")
     b_lam = cache.b[lam]
-    mu = drop_one_fixed_point(lam)
-    if mu is None:
+    if lam[-1] != 1:
         return list(b_lam)
     fixed_colors = lam.count(1)
-    return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[mu])]
+    return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[lam[:-1]])]
 
 
 # Private: the benchmark's tracer (perfbench/spans.py) reads the result of

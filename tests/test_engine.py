@@ -11,6 +11,7 @@ import pytest
 
 from ktrees import engine
 from ktrees.cli import REFERENCE_COUNTS
+from ktrees.closedforms import rooted_trees
 from ktrees.engine import (
     compute_B,
     compute_C,
@@ -141,18 +142,23 @@ def test_power_rows_name_the_type_of_every_power():
 
 
 def test_B_lambda_matches_substituted_product():
-    # B_lam = x * prod_{i in lam} C_{lam^i minus one fixed point}(x^i), built
-    # here factor by factor, for fixed-point and fixed-point-free types alike.
-    for k in range(1, 6):
-        cache = solve_system(k, 10)
+    # B_lam = x * prod_{i in lam} C_{lam^i minus one fixed point}(x^i) and
+    # Bbar_mu = x * prod_{i in mu} C_{mu^i}(x^i), built here factor by
+    # factor, for fixed-point and fixed-point-free types alike.  At order 5
+    # and k >= 6 some parts reach the order, down to one-part products
+    # whose factor contributes nothing but its constant term.
+    def product(c, order, nus):
+        factors = [substitute_power(resized(Series(order, c[nu]), order - 1), i) for nu, i in nus]
+        return times_x(reduce(mul, factors))
+
+    for k, order in [*((k, 10) for k in range(1, 6)), *((k, 5) for k in range(6, 9))]:
+        cache = solve_system(k, order)
         for lam in partitions_of(k + 1):
-            factors = [
-                substitute_power(
-                    resized(Series(10, cache.c[drop_one_fixed_point(cycle_power(lam, i))]), 9), i
-                )
-                for i in lam
-            ]
-            assert Series(cache.order, cache.b[lam]) == times_x(reduce(mul, factors)), (k, lam)
+            nus = [(drop_one_fixed_point(cycle_power(lam, i)), i) for i in lam]
+            assert Series(order, cache.b[lam]) == product(cache.c, order, nus), (k, lam)
+        for mu in partitions_of(k):
+            nus = [(cycle_power(mu, i), i) for i in mu]
+            assert Series(order, cache.bbar[mu]) == product(cache.c, order, nus), (k, mu)
 
 
 def test_black_aggregate_identity_k1():
@@ -319,6 +325,31 @@ def test_stable_range_starts_exactly_at_n_minus_2():
         assert count_ktrees(order - 2, order).U == count_ktrees(order - 1, order).U, order
 
 
+def test_black_rooted_stability_and_last_jump():
+    """B_k[n] is constant for k >= n - 2, and B_{n-2}[n] - B_{n-3}[n] = r(n),
+    the rooted trees on n nodes, for n >= 4.
+
+    B counts the k-trees with n hedra and one hedron marked, up to
+    isomorphism.  Take the bijection of :func:`stable_counts`, deleting a
+    universal vertex.  A universal vertex lies in every hedron, so deleting
+    it keeps the marked hedron a hedron, and two universal vertices are
+    twins whose swap fixes every hedron, so the mark is carried up to
+    isomorphism: the k-trees with n hedra, a marked hedron and a universal
+    vertex number B_{k-1}[n].  For k >= n - 1 every k-tree with n hedra has
+    one, so column n is constant from k = n - 2 on.  At k = n - 2 the ones
+    with none are, as in U's last jump, the trees on n nodes, the hedra
+    joined where they share a front, glued up in one way up to
+    isomorphism; the marked hedron is a node, so the last jump's hedra form
+    a tree rooted at the mark, and those number r(n).
+    """
+    b = {k: count_ktrees(k, 16).B for k in range(1, 17)}
+    r = rooted_trees(16)
+    for n in range(17):
+        assert len({b[k][n] for k in range(max(n - 2, 1), 17)}) == 1, n
+    for n in range(4, 17):
+        assert b[n - 2][n] - b[n - 3][n] == r[n - 1], n
+
+
 def test_every_row_built_from_its_solves_is_the_row_solved_directly():
     # A row up to base = max(N-4, 1) is its own solve; every row above it,
     # through the stable row k = N+1 and one past it, is U_base plus the
@@ -350,9 +381,17 @@ def test_stable_vs_last_unstable_column():
 
 
 def test_monotone_truncation():
-    long = count_ktrees(2, 12).U
-    short = count_ktrees(2, 6).U
-    assert long[:7] == short
+    # Every C_mu, Bbar_mu and B_lam table through a lower order is the
+    # prefix of the same table through k + 4, also for the orders at or
+    # below the largest part k + 1, where parts reach the order.
+    for k in range(1, 9):
+        long = solve_system(k, k + 4)
+        for order in range(k + 4):
+            short = solve_system(k, order)
+            for name in ("c", "bbar", "b"):
+                prefixes = {t: coeffs[: order + 1] for t, coeffs in getattr(long, name).items()}
+                assert getattr(short, name) == prefixes, (k, order, name)
+    assert count_ktrees(2, 6).U == count_ktrees(2, 12).U[:7]
 
 
 def test_count_fixed_identity_type_vs_tables():

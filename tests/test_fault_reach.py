@@ -11,8 +11,9 @@ Every structural fault below (a wrong period, split, centralizer order,
 divisor or multiplicity) is caught only by the engine's exact-division
 check, in the first suite, so it stops verify before any check line.  The
 two integrality-preserving bumps escape every check of verify today.  The
-last test plants the C_(4,2)[10] bump against U's second jump, an identity
-tier-1 checks but verify does not yet (ROADMAP item 10).
+last two tests plant them against identities tier-1 checks but verify
+does not yet: the C_(4,2)[10] bump against U's second jump (ROADMAP item
+10), and the B_(4,2,1)[9] bump against B's last jump (ROADMAP item 9).
 """
 
 from math import factorial, prod
@@ -128,3 +129,12 @@ def test_the_second_jump_catches_the_c42_bump_at_n_10_alone(monkeypatch):
     u = {k: engine.count_ktrees(k, 20).U for k in range(1, 18)}
     jump = closedforms.second_jump(20)
     assert [n for n in range(5, 21) if u[n - 3][n] - u[n - 4][n] != jump[n]] == [10]
+
+
+def test_the_b_last_jump_catches_the_b421_bump_at_n_9_alone(monkeypatch):
+    # The bump moves B_6[9] by 630 * 48 / 7! = 6, which only the jump at
+    # n = 9, B_7[9] - B_6[9], reads; U and B's stable range stay.
+    _bump("b", (4, 2, 1), 9, 48)(monkeypatch)
+    b = {k: engine.count_ktrees(k, 16).B for k in range(1, 17)}
+    r = closedforms.rooted_trees(16)
+    assert [n for n in range(4, 17) if b[n - 2][n] - b[n - 3][n] != r[n - 1]] == [9]
