@@ -25,8 +25,9 @@ print("\nstable values:", stable)
 # The final jump K(n, n-2) -> K(n, n-3) equals the number of unlabeled
 # trees with n-1 edges: the missing structures collapse onto plain trees.
 # Why: an (n-2)-tree with no vertex adjacent to all others is its n hedra
-# glued along a tree.  With the second jump, one k lower (one color used
-# twice), stable_counts solves only k = N-4 and k = 1.
+# glued along a tree.  With the second and third jumps, one and two k lower
+# (one color used twice, then two repeats in all), stable_counts solves only
+# k = N-5 and k = 1.
 print("\nlast jump vs tree counts:")
 trees = table[1]
 for n in range(4, MAX_N + 1):

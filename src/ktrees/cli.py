@@ -32,8 +32,9 @@ from math import factorial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
+from ._jumps import _row, _solves
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
-from .engine import _count_from, _row, _solves, count_ktrees, solve_system
+from .engine import _count_from, count_ktrees, solve_system
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
 from .partitions import partition_numbers
 from .series import IntegralityError
@@ -136,11 +137,11 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    Each row k is engine._row of the solves engine._solves names for it,
-    and the stable row is the row k = N + 1.  Up to k = max(N - 4, 1) a
+    Each row k is _jumps._row of the solves _jumps._solves names for it,
+    and the stable row is the row k = N + 1.  Up to k = max(N - 5, 1) a
     row is its own solve; every row above it, the stable row included, is
-    built from the solves at that k and at k = 1 by U's last and second
-    jumps.  So no row solves above k = N - 4, and a large k enumerates
+    built from the solves at that k and at k = 1 by U's last, second and
+    third jumps.  So no row solves above k = N - 5, and a large k enumerates
     nothing.  The distinct solves pass the work budget before the first of
     them runs, and each runs once.  A row past k = N + 1 is the stable row
     (no column n <= N changes there), so each distinct row is built once,
@@ -193,7 +194,7 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    # The stable row, row k = 10, reads the k = 1 and k = 5 solves of the
+    # The stable row, row k = 10, reads the k = 1 and k = 4 solves of the
     # rows above.
     bundles = {k: count_ktrees(k, 9) for k in REFERENCE_COUNTS}
     rows = [(f"row k={k}", bundles[k].U, row) for k, row in REFERENCE_COUNTS.items()]

@@ -17,8 +17,8 @@ forms (rooted trees R; the directed-edge 2-tree pair D, S).  For k = 3 and
 then combines its series into U on ints too: the combination is multiplied
 through by its common denominator (2, 6, 24 and 120 for k = 1..4) and
 divided by it once per coefficient, and that division must be exact.
-:func:`second_jump` rests instead on the proof in the engine's
-``stable_counts`` and reads only the rooted trees R.  Every result is a
+:func:`second_jump` rests instead on the proof in :mod:`ktrees._jumps`
+and reads only the rooted trees R.  Every result is a
 plain ``list[int]``, like the engine's rows.
 """
 
@@ -138,7 +138,7 @@ def second_jump(order: int) -> list[int]:
     """U's second jump: entry n is U_{n-3}[n] - U_{n-4}[n] for 5 <= n <= order.
 
     These are the (n-3)-trees with n hedra and no universal vertex, which
-    the proof in :func:`ktrees.engine.stable_counts` counts as
+    the proof in :mod:`ktrees._jumps` counts as
 
         [x^n] ( Z(S_3; A) + ( A^4/(1 - A) + A_2^2 (1 + A)/(1 - A_2) ) / 2 )
 

@@ -72,13 +72,8 @@ from operator import add, itemgetter, mul
 from types import SimpleNamespace
 from typing import Iterable
 
-from .partitions import (
-    Partition,
-    cycle_power,
-    drop_one_fixed_point,
-    partitions_of,
-    permutation_count,
-)
+from ._jumps import _row, _solves
+from .partitions import Partition, cycle_power, partitions_of, permutation_count
 from .series import IntegralityError, Series
 
 
@@ -273,7 +268,7 @@ def solve_system(k: int, order: int) -> SeriesCache:
     columns = {i: ([0] * len(products), [unused] * len(products)) for i in range(1, k + 1)}
     for where, series, parts, s in products:
         if s is None:
-            nus = {i: index[drop_one_fixed_point(cycle_power(parts, i))] for i in set(parts)}
+            nus = {i: index[cycle_power(parts, i)[:-1]] for i in set(parts)}
         else:
             nus = {i: rows[i][s] for i in set(parts)}
         if len(parts) == 1:
@@ -400,175 +395,21 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[lam[:-1]])]
 
 
-# Private: the benchmark's tracer (perfbench/spans.py) reads the result of
-# every public engine function as a row of counts.
-def _solves(k: int, order: int) -> list[int]:
-    """The k whose solves through ``order`` :func:`_row` reads for row k.
-
-    Up to base = max(order - 4, 1) that is k alone.  Above it, it is 1 and
-    base, which is 1 alone through order 5: each such row is the solve at
-    base plus the two jumps (see :func:`stable_counts`).
-
-    >>> [_solves(k, 9) for k in (4, 5, 6, 10)], _solves(3, 5)
-    ([[4], [5], [1, 5], [1, 5]], [1])
-    """
-    base = max(order - 4, 1)
-    return [k] if k <= base else sorted({1, base})
-
-
-def _second_jump(trees: list[int], n: int) -> int:
-    """U_{n-3}[n] - U_{n-4}[n] for n >= 5, from ``trees``, the rooted trees
-    by edges (the C row of a k = 1 solve) through at least degree n - 1.
-
-    With A = x * trees the rooted trees by nodes, A_2 = A(x^2) and
-    W = A^2 / (1 - A), so that W(x^2) = A_2^2 / (1 - A_2), it is
-
-        [x^n] (A^3 + 3 A A_2 + 2 A(x^3)) / 6  +  [x^n] (A^2 W + (1 + A) W(x^2)) / 2,
-
-    one front in three hedra and two fronts of one color, the two cases of
-    the proof in :func:`stable_counts`.  Each numerator counts its shapes 6
-    or 2 times over, for any row of ints, so a remainder means a wrong term
-    here: it raises IntegralityError naming the second jump and n.
-    """
-    a = [0, *trees[:n]]
-
-    def at(f: list[int], g: list[int], d: int) -> int:
-        """[x^d] f * g."""
-        return sum(map(mul, f[: d + 1], reversed(g[: d + 1])))
-
-    recip = [1]  # 1 / (1 - A)
-    for d in range(1, n + 1):
-        recip.append(sum(map(mul, a[1 : d + 1], reversed(recip))))
-    square = [at(a, a, d) for d in range(n + 1)]
-    w = [at(square, recip, d) for d in range(n + 1)]
-    a2, w2 = ([0 if d % 2 else f[d // 2] for d in range(n + 1)] for f in (a, w))
-    jump = 0
-    for num, den in (
-        (at(square, a, n) + 3 * at(a, a2, n) + 2 * (0 if n % 3 else a[n // 3]), 6),
-        (at(square, w, n) + w2[n] + at(a, w2, n), 2),
-    ):
-        quotient, remainder = divmod(num, den)
-        if remainder:
-            raise IntegralityError.for_quotient(f"second jump, degree {n}", num, den)
-        jump += quotient
-    return jump
-
-
-def _row(k: int, order: int, bundles: dict[int, ResultBundle]) -> list[int]:
-    """Row k of U through ``order``, from ``bundles``, the solves through
-    ``order`` of (at least) the k in :func:`_solves`.
-
-    With base = max(order - 4, 1), a row k <= base is its own solve's U row.
-    A row above it is U_base plus the jumps of each column n that lie
-    between base and k (see :func:`stable_counts`): the last jump U_1[n - 1]
-    where base <= n - 3 < k, and the second jump, read off the k = 1 solve
-    by :func:`_second_jump`, where base <= n - 4 < k.  As order <= base + 4
-    and k > base, n - 4 < k always holds.  So from order 6 on the row
-    k = order - 3 adds the last jump at n = order - 1 and the second at
-    n = order, and every k >= order - 2 is the stable row, with the last
-    jump at n = order too.  The bundles are not changed.
-
-    >>> bundles = {k: count_ktrees(k, 6) for k in _solves(7, 6)}
-    >>> _row(2, 6, bundles), _row(3, 6, bundles), _row(7, 6, bundles)
-    ([1, 1, 1, 2, 5, 12, 39], [1, 1, 1, 2, 5, 15, 58], [1, 1, 1, 2, 5, 15, 64])
-    """
-    base = max(order - 4, 1)
-    if k <= base:
-        return bundles[k].U
-    k1, row = bundles[1], bundles[base].U[:]
-    for n in range(base + 3, order + 1):
-        if n - 3 < k:
-            row[n] += k1.U[n - 1]
-        if n - 4 >= base:
-            row[n] += _second_jump(k1.C, n)
-    return row
-
-
 def stable_counts(order: int) -> list[int]:
     """The k-independent tail values: entry n is the n-hedra count at k = max(n-2, 1).
 
-    Take a k-tree with n hedra, its hedra in an order in which each after
-    the first shares a k-clique (a front) with an earlier one.  Each of
-    those n-1 hedra drops at most one vertex from the running intersection
-    of the hedra so far, so at least k+2-n vertices lie in every hedron.  A
-    vertex lies in every hedron exactly when it is adjacent to all others
-    (universal), since a k-tree has no (k+2)-clique, and any two universal
-    vertices are swapped by an automorphism.  So deleting one is, for any
-    k >= 2, a bijection from the unlabeled k-trees with n hedra that have a
-    universal vertex onto the unlabeled (k-1)-trees with n hedra, with
-    adding a universal vertex as its inverse.  For k >= n-1 every k-tree
-    with n hedra has one, so U_k[n] = U_{k-1}[n] and column n is constant
-    from k = n-2 on.
-
-    The last jump is the tree count: U_{n-2}[n] = U_{n-3}[n] + U_1[n-1] for
-    n >= 4, and U_1[n-1] > 0, so no lower k starts the constant run.  By the bijection, the
-    (n-2)-trees with n hedra and a universal vertex number U_{n-3}[n].  In
-    one with none, the first hedron's n-1 vertices must all be dropped by
-    the n-1 later hedra, so each drops exactly one vertex of the running
-    intersection.  Then no front lies in three hedra: the third hedron to
-    contain one contains the running intersection, which lies in the first
-    two and so in their common front, and drops nothing.  So the hedra, joined where they share a
-    front, form a tree on n nodes.  Conversely every tree on n nodes is
-    glued up this way, and the vertices of the running intersection are
-    twins, so which one a hedron drops is unique up to an automorphism: the
-    map to trees is a bijection, and trees on n nodes are the U_1[n-1]
-    1-trees with n-1 hedra.
-
-    The second jump, for n >= 5, is
-
-        U_{n-3}[n] - U_{n-4}[n] = [x^n] ( Z(S_3; A)
-                                  + ( A^4/(1 - A) + A_2^2 (1 + A)/(1 - A_2) ) / 2 )
-
-    with A = sum r(m) x^m the rooted trees by nodes, A_i = A(x^i) and
-    Z(S_3; A) = (A^3 + 3 A A_2 + 2 A_3)/6.  By the bijection it counts the
-    (n-3)-trees with n hedra and no universal vertex.  Color the vertices in
-    the k+1 colors, as the paper's coding trees do.  A hedron has one vertex
-    of each color, so each of its fronts misses one color, the front's
-    color, and it has one front of each color.  Each hedron after the first
-    attaches at a front of an earlier one and adds one vertex, of that
-    front's color, and a front lies in one hedron more than it has
-    attachments (a later hedron that contains it attaches at it, as its new
-    vertex is not in it).  A vertex is universal exactly when no other
-    vertex has its color: two vertices of one color are not adjacent, and
-    every hedron has a vertex of each color.  So a k-tree has no universal
-    vertex exactly when its n-1 attachments use all k+1 colors; at k = n-2
-    each color is used once, which is the last jump again.  At k = n-3 the
-    n-1 attachments use n-2 colors, so exactly one color c is used twice and
-    every other color once, and only a front of color c can lie in three
-    hedra.  Either
-
-    * one front of color c lies in three hedra, and every other shared
-      front in two.  Cutting at that front splits the hedra into three
-      trees, each rooted at a hedron on the front, with n nodes in all: an
-      unordered triple of rooted trees, counted by Z(S_3; A); or
-    * two fronts of color c lie in two hedra each.  The hedra then form a
-      tree on n nodes, as in the last jump, and the two fronts are two of
-      its edges.  A hedron has one front of each color, so the two edges
-      are not incident.  The path of the tree that runs through both has
-      m >= 4 nodes, and with the rooted tree that hangs off each of its
-      nodes it is a sequence of m rooted trees, read either way.  By
-      Burnside over the reversal these number (A^4/(1 - A) + P)/2, with
-      P = A_2^2 (1 + A)/(1 - A_2) the palindromes of m = 2j or 2j+1
-      nodes, j >= 2.
-
-    Conversely, each such shape, with c on its marked fronts and the n-3
-    other colors one to each other shared front, is a coding tree whose
-    hedra each have one front of every color (fronts in one hedron only
-    supply the rest), so a k-tree glues up to it, and it uses every color.
-    Its colors are fixed up to renaming the colors used once, which the
-    paper's color orbits identify, so the k-trees and the shapes
-    correspond one to one up to isomorphism.
-
-    So through ``order`` every row at or above k = order - 4 is built from
-    two solves, at base = max(order - 4, 1) and at k = 1 (:func:`_solves`),
-    by adding to U_base the jumps that lie between base and k
-    (:func:`_row`); the stable row is the row k = order + 1.  From order 6
-    on, U_base lies in the stable range of every n <= order - 2, and the
-    stable row adds the last jump at n = order - 1 and both jumps at
-    n = order.  The tree counts are the k = 1 row, and A is x times its C
-    row, the rooted trees by edges.  Through order 5 it is the k = 1 row
-    with its jumps.  A solve is exact at each degree up to its order, so
-    either way its whole row is the tail.
+    Column n of U is constant from k = n - 2 on, and below that U falls by
+    three proven jumps, U_{n-2}[n] - U_{n-3}[n] = U_1[n - 1] (the trees on n
+    nodes) and the second and third jumps U_{n-3}[n] - U_{n-4}[n] and
+    U_{n-4}[n] - U_{n-5}[n], series in the rooted trees by nodes.  The
+    proofs, by the universal vertex and the paper's coloring, are in
+    :mod:`ktrees._jumps`.  So the row through ``order`` is the row
+    k = order + 1 that :func:`ktrees._jumps._row` builds from two solves, at
+    base = max(order - 5, 1) and at k = 1: U_base plus the jumps between.
+    From order 6 on, U_base lies in the stable range of every n <= order - 3,
+    and the stable row adds the last jump at n = order - 2, the last two at
+    n = order - 1 and all three at n = order.  A solve is exact at each
+    degree up to its order, so either way its whole row is the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

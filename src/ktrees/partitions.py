@@ -120,17 +120,6 @@ def cycle_power(lam: Partition, i: int) -> Partition:
     return tuple(parts)
 
 
-def drop_one_fixed_point(lam: Partition) -> Partition | None:
-    """Remove one part equal to 1, or return None if there is none.
-
-    The None case is how callers detect that a permutation has no fixed
-    color, which forces the corresponding rooted-tree series to be zero.
-    """
-    if lam and lam[-1] == 1:
-        return lam[:-1]
-    return None
-
-
 def permutation_count(lam: Partition) -> int:
     """Number of permutations with cycle type ``lam`` in S_(sum lam)."""
     return factorial(sum(lam)) // z_of(lam)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ktrees import cli, engine, oracle
+from ktrees import _jumps, cli, engine, oracle
 from ktrees.closedforms import otter_U, twotree_rooted_series
 from ktrees.engine import count_ktrees
 from ktrees.partitions import partitions_of
@@ -149,7 +149,7 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
 
     def building(k, order, bundles):
         built.append(k)
-        return engine._row(k, order, bundles)
+        return _jumps._row(k, order, bundles)
 
     monkeypatch.setattr(cli, "count_ktrees", recording)
     monkeypatch.setattr(cli, "_row", building)
@@ -160,7 +160,7 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
     rows = [[int(v) for v in line.split(",")] for line in out.strip().splitlines()]
     assert rows[:3] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 4)]
     assert rows[3:] == [cli.STABLE_ROW[:7]] * 28  # k = 4..30 and the stable row
-    assert calls == [1, 2]
+    assert calls == [1]
     # Every k past N + 1 = 7 prints the stable row, built once as row 7.
     assert sorted(built) == list(range(1, 8))
 
@@ -168,17 +168,17 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, solves",
     [
-        (("count", "--k", "40", "--terms", "8"), [(1, 7), (3, 7)]),
-        (("count", "--k", "6", "--terms", "10"), [(1, 9), (5, 9)]),
+        (("count", "--k", "40", "--terms", "8"), [(1, 7), (2, 7)]),
+        (("count", "--k", "6", "--terms", "10"), [(1, 9), (4, 9)]),
         (("count", "--k", "5", "--terms", "81"), [(5, 80)]),
-        (("table", "--max-k", "8", "--max-n", "9", "--stable"), [(k, 9) for k in range(1, 6)]),
-        (("stable", "--terms", "17"), [(1, 16), (12, 16)]),
+        (("table", "--max-k", "8", "--max-n", "9", "--stable"), [(k, 9) for k in range(1, 5)]),
+        (("stable", "--terms", "17"), [(1, 16), (11, 16)]),
         (("stable", "--terms", "4"), [(1, 3)]),
     ],
 )
 def test_the_stable_row_is_solved_one_k_below_the_stable_range(capsys, monkeypatch, argv, solves):
-    # Every row above k = N-4, the stable row too, is U_{N-4} plus the jumps
-    # read off the k = 1 solve: no row solves at k = N-3 or above.
+    # Every row above k = N-5, the stable row too, is U_{N-5} plus the jumps
+    # read off the k = 1 solve: no row solves at k = N-4 or above.
     calls = []
 
     def recording(k, order):
@@ -365,7 +365,7 @@ def test_negative_count_is_a_dissymmetry_failure(capsys, monkeypatch):
 
 
 def test_negative_count_exits_3(capsys, monkeypatch):
-    # At N = 7 the row k = 2 is its own solve (below N - 4, it reads no jump).
+    # At N = 7 the row k = 2 is its own solve (at N - 5, it reads no jump).
     _negative_at_degree_3(monkeypatch)
     code, out, err = run_cli(capsys, "count", "--k", "2", "--terms", "8")
     assert code == 3
@@ -595,11 +595,11 @@ def test_work_budget_edge():
 
 
 def test_the_stable_row_budget_edge():
-    # stable --terms 36 solves (1, 35) and (31, 35) and fits; --terms 37
-    # would solve (32, 36) and is refused.  Nothing is solved here.
-    cli._check_budget(engine._solves(36, 35), 35)
+    # stable --terms 36 solves (1, 35) and (30, 35) and fits; --terms 37
+    # would solve (31, 36) and is refused.  Nothing is solved here.
+    cli._check_budget(_jumps._solves(36, 35), 35)
     with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget(engine._solves(37, 36), 36)
+        cli._check_budget(_jumps._solves(37, 36), 36)
 
 
 def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ktrees import cli, closedforms, engine
+from ktrees import _jumps, cli, closedforms, engine
 from ktrees.closedforms import (
     fourtree_U,
     otter_U,
@@ -137,7 +137,7 @@ def test_second_jump_equals_the_engine_through_20():
 
 def test_the_engine_reads_the_same_second_jump_off_its_k1_solve():
     trees = count_ktrees(1, 30).C
-    assert [engine._second_jump(trees, n) for n in range(5, 31)] == second_jump(30)[5:]
+    assert [_jumps._second_jump(trees, n) for n in range(5, 31)] == second_jump(30)[5:]
 
 
 def test_a_second_jump_remainder_names_the_degree(monkeypatch):
@@ -240,9 +240,15 @@ def test_closedforms_imports_nothing_from_the_engine_or_partitions():
 
 
 def test_the_engine_imports_nothing_from_the_closed_forms():
-    # Its second jump is its own route, from its k = 1 solve.
+    # Its jumps are their own route, from its k = 1 solve.
     imported = _imports(engine)
     assert "closedforms" not in {part for name in imported for part in name.split(".")}
+
+
+def test_the_jumps_take_only_the_error_type_from_the_package():
+    imported = _imports(_jumps)
+    package = {name for name in imported if name.split(".")[0] not in {"__future__", "operator"}}
+    assert package == {"series", "series.IntegralityError"}, sorted(imported)
 
 
 def test_closedforms_run_on_ints_without_fractions_or_series():

@@ -11,16 +11,17 @@ Every structural fault below (a wrong period, split, centralizer order,
 divisor or multiplicity) is caught only by the engine's exact-division
 check, in the first suite, so it stops verify before any check line.  The
 two integrality-preserving bumps escape every check of verify today.  The
-last two tests plant them against identities tier-1 checks but verify
-does not yet: the C_(4,2)[10] bump against U's second jump (ROADMAP item
-10), and the B_(4,2,1)[9] bump against B's last jump (ROADMAP item 9).
+last three tests plant them against identities tier-1 checks but verify
+does not yet: the C_(4,2)[10] bump against U's second and third jumps
+(ROADMAP items 10 and 11), and the B_(4,2,1)[9] bump against B's last jump
+(ROADMAP item 9).
 """
 
 from math import factorial, prod
 
 import pytest
 
-from ktrees import cli, closedforms, engine, partitions
+from ktrees import _jumps, cli, closedforms, engine, partitions
 
 UNTIL_ITEM_2 = "no check reaches it before the per-permutation route (ROADMAP item 2)"
 
@@ -129,6 +130,16 @@ def test_the_second_jump_catches_the_c42_bump_at_n_10_alone(monkeypatch):
     u = {k: engine.count_ktrees(k, 20).U for k in range(1, 18)}
     jump = closedforms.second_jump(20)
     assert [n for n in range(5, 21) if u[n - 3][n] - u[n - 4][n] != jump[n]] == [10]
+
+
+def test_the_third_jump_catches_the_c42_bump_at_n_10_alone(monkeypatch):
+    # One k lower, the jump at n = 10, U_6[10] - U_5[10], reads the bump;
+    # the one at n = 11, U_7[11] - U_6[11], reads U_6[11], which stays.
+    _bump("c", (4, 2), 10, 8)(monkeypatch)
+    solved = {k: engine.count_ktrees(k, 20) for k in range(1, 17)}
+    u, trees = {k: bundle.U for k, bundle in solved.items()}, solved[1].C
+    jumps = {n: _jumps._third_jump(trees, n) for n in range(6, 21)}
+    assert [n for n in range(6, 21) if u[n - 4][n] - u[n - 5][n] != jumps[n]] == [10]
 
 
 def test_the_b_last_jump_catches_the_b421_bump_at_n_9_alone(monkeypatch):

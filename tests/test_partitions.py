@@ -8,7 +8,6 @@ import pytest
 
 from ktrees.partitions import (
     cycle_power,
-    drop_one_fixed_point,
     partition_numbers,
     partitions_of,
     permutation_count,
@@ -139,13 +138,6 @@ def test_part_guarantees_fixed_point_in_power():
         for lam in partitions_of(m):
             for i in lam:
                 assert 1 in cycle_power(lam, i)
-
-
-def test_drop_one_fixed_point():
-    assert drop_one_fixed_point((2, 1)) == (2,)
-    assert drop_one_fixed_point((3,)) is None
-    assert drop_one_fixed_point((1, 1)) == (1,)
-    assert drop_one_fixed_point(()) is None
 
 
 def test_cycle_power_rejects_zero():
