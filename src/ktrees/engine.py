@@ -39,15 +39,21 @@ the Euler-transform recurrence, and each product is built once.  The
 log-derivatives are kept from their x^1 term on, so a step is one dot
 product against its series read backwards and one exact division.  All
 the bookkeeping around it (which tables a log-derivative term reads, with
-what weight) is settled once per solve, and each degree's terms are summed
-a column at a time across all series of a kind.  That bookkeeping names
-each cycle type once, by its index in the enumeration of the partitions
-of k (or of k+1): the power map mu -> mu^m is a row of indices, one
-:func:`cycle_power` per type and prime p whose p-th power moves it, with
-every other row composed from those, and there is a row for every part of
-every mu whatever the order.  A lam = mu + (1,) looks mu up by its key, as
-E looks up each mu + (1,).  The per-type tables become dicts keyed by the
-partitions only when the solve returns.
+what weight) is settled once per solve, and each degree grows every C_mu
+and every product in one batch of such steps, each pass over the batch a
+C-level ``map``, with every remainder checked before any series grows.
+The batch's new terms are columns indexed by type: C's at degree d sums,
+over divisors m of d, the column of q * Bbar[q] at q = d/m read at the
+index of every mu^m by one itemgetter, and the products' sums, over their
+parts i | d, C's column kept from degree d/i read at every factor's nu and
+scaled by its weight.  That bookkeeping names each cycle type once, by
+its index in the enumeration of the partitions of k (or of k+1): the
+power map mu -> mu^m is a row of indices, one :func:`cycle_power` per
+type and prime p whose p-th power moves it, with every other row composed
+from those, and there is a row for every part of every mu whatever the
+order.  A lam = mu + (1,) looks mu up by its key, as E looks up each
+mu + (1,).  The per-type tables become dicts keyed by the partitions only
+when the solve returns.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -66,9 +72,9 @@ a value type with no arithmetic, appears only in the ``c_table`` /
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, floordiv, itemgetter, mod, mul
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -138,11 +144,13 @@ def _power_rows(
     rows[m][s] is the index in ``types`` of the cycle type of pi^m, for pi
     of type types[s] (rows[0] is unused).  Only a prime p costs
     :func:`cycle_power` calls, one per type whose period lcm(mu) p divides: a
-    type of period prime to p is its own p-th power.  Every other row is
-    composed, row m being row p applied to row m/p, with p the least prime
-    factor of m.
+    type of period prime to p is its own p-th power, and a prime above every
+    period has the identity row itself.  Every other row is composed, row m
+    being row p applied to row m/p, with p the least prime factor of m, and
+    is row m/p itself when row p is the identity.
     """
     periods = [lcm(*mu) for mu in types]
+    longest = max(periods)
     identity = list(range(len(types)))
     # least[m] is the least factor d >= 2 of m, the last d to mark it.
     least = [0] * (order + 1)
@@ -152,7 +160,10 @@ def _power_rows(
     for m in range(2, order + 1):
         p = least[m]
         if p < m:
-            rows.append(list(map(rows[p].__getitem__, rows[m // p])))
+            row = rows[p]
+            rows.append(rows[m // p] if row is identity else list(map(row.__getitem__, rows[m // p])))
+        elif p > longest:
+            rows.append(identity)
         else:
             rows.append(
                 [
@@ -164,26 +175,34 @@ def _power_rows(
 
 
 def _euler_steps(
-    steps: list[tuple[list[int], list[int], str, Partition]], column: Iterable[int], n: int
+    gs: list[list[int]],
+    series: list[list[int]],
+    column: Iterable[int],
+    n: int,
+    names: list[tuple[str, Partition]],
 ) -> None:
-    """Append the x^n coefficient of G = exp(L) to every series of ``steps``.
+    """Append the x^n coefficient of G = exp(L) to every series of one batch.
 
-    ``steps`` holds (g, series, where, type) entries.  ``g`` is the
-    log-derivative x L'(x) of the exponent from j = 1 on (g[j - 1] is its
-    x^j term), and it first takes its x^n term from ``column``.  ``series``
-    is x^shift * G, holding G through degree n - 1.  The Euler-transform
-    recurrence n * G[n] = sum_{j=1..n} g[j] * G[n-j] must divide exactly: a
-    remainder raises IntegralityError at ``where``, the type and the degree
-    len(series) of the coefficient being produced, a location formatted
+    Series b of the batch is ``series[b]``, x^shift * G holding G through
+    degree n - 1, grown from ``gs[b]``, the log-derivative g = x L'(x) of
+    its exponent from the x^1 term on (g[t] at index t - 1), which first
+    takes its x^n term from ``column[b]``; entries of ``column`` past the
+    batch are left unread.  Each pass over the batch is one C-level ``map``.
+    The Euler-transform recurrence n * G[n] = sum_{t=1..n} g[t] * G[n-t]
+    must divide exactly for every series before any of them grows: a
+    remainder raises IntegralityError at the first series of the batch that
+    has one, named by ``names[b]`` = (where, type) and the degree
+    len(series[b]) of the coefficient being produced, a location formatted
     only then.
     """
-    for (g, series, where, key), value in zip(steps, column):
-        g.append(value)
-        total = sum(map(mul, g, reversed(series)))
-        quotient, remainder = divmod(total, n)
-        if remainder:
-            raise IntegralityError.for_quotient(f"{where}{key}, degree {len(series)}", total, n)
-        series.append(quotient)
+    any(map(list.append, gs, column))
+    totals = list(map(sum, map(map, repeat(mul), gs, map(reversed, series))))
+    if any(map(mod, totals, repeat(n))):
+        for total, table, (where, key) in zip(totals, series, names):
+            if total % n:
+                where = f"{where}{key}, degree {len(table)}"
+                raise IntegralityError.for_quotient(where, total, n)
+    any(map(list.append, series, map(floordiv, totals, repeat(n))))
 
 
 def solve_system(k: int, order: int) -> SeriesCache:
@@ -192,26 +211,31 @@ def solve_system(k: int, order: int) -> SeriesCache:
     Online solve on Python ints, one new coefficient of every series per
     degree, starting from C_mu = 1 (the bare colored root) and
     Bbar_mu = B_lam = x (the bare black root).  Every series is one
-    exponential grown by :func:`_euler_steps`, each from a log-derivative
-    the solve keeps from its x^1 term on (entry j - 1 is the x^j term):
+    exponential, each from a log-derivative the solve keeps from its x^1
+    term on (entry j - 1 is the x^j term), and each degree grows all C_mu,
+    then all products, in one batch of :func:`_euler_steps`:
 
     * C_mu = exp(sum_m Bbar_{mu^m}(x^m) / m) has the log-derivative
       a_mu[j] = sum_{m | j} (j/m) * Bbar_{mu^m}[j/m], so C_mu[d] needs
-      Bbar only through degree d.  For each m <= order the solve lists the
-      Bbar_{mu^m} table of every mu once, so a degree reads one column per
-      divisor m and looks up no cycle type.
+      Bbar only through degree d.  Each degree q keeps one column of
+      q * Bbar_mu[q] by type until its last read, and a divisor m of d
+      reads the column q = d/m at the indices of mu^m of every mu with one
+      itemgetter.
     * Bbar_mu / x and B_lam / x are products of factors C_nu(x^i), one per
       part i, with nu = mu^i for Bbar_mu and nu = lam^i minus one fixed
       point for B_lam, which is mu^i again when lam = mu + (1,) and is read
       off mu's powers.  Their log-derivative at degree n is the sum over
       distinct parts i | n of (multiplicity of i) * i * a_nu[n/i], so
-      degree d+1 of Bbar and B needs C only through d.  For each part i the
-      solve lists every product's weight and a_nu once, so a degree reads
-      one column per part i | n.  A product of one part is C_nu(x^i)
-      itself and is read off C.
+      degree d+1 of Bbar and B needs C only through d.  The a_nu[q] of
+      every nu are the C batch's column at degree q, which the solve keeps
+      while a part still reads it: part i reads it at the indices of every
+      product's nu with one itemgetter and scales it by the products'
+      weights.  A product without part i reads a zero at the columns'
+      sentinel index p(k).  A product of one part is C_nu(x^i) itself and
+      is read off C.
 
-    Both lists name a type by its index s in ``partitions_of(k)``.  The
-    powers mu^m come from :func:`_power_rows`: a row of indices for each
+    Both read a type by its index s in ``partitions_of(k)``.  The powers
+    mu^m come from :func:`_power_rows`: a row of indices for each
     m <= max(k, order), a prime p costing one :func:`cycle_power` per type
     whose period lcm(mu) p divides, and every other row m composed as row p
     of row m/p.  So every part of every mu has a row; a part i >= order
@@ -244,64 +268,84 @@ def solve_system(k: int, order: int) -> SeriesCache:
     c = [[1] for _ in mus]
     bbar = [[0, 1][: order + 1] for _ in mus]
     b = [[0, 1][: order + 1] for _ in lams]
-    # log_deriv[s][j - 1] = a_mu[j] = j * [x^j] log C_mu, for j >= 1.
-    log_deriv: list[list[int]] = [[] for _ in mus]
-    where_c, where_bbar, where_b = f"k={k}, mu=", f"k={k}, Bbar, mu=", f"k={k}, B, lam="
-    c_steps = list(zip(log_deriv, c, repeat(where_c), mus))
-    # by_power[m][s] is the Bbar table of mus[s]^m (m = 0 unused).
-    by_power = [list(map(bbar.__getitem__, row)) for row in rows]
+    # Every column is indexed by type and ends in a zero at the sentinel
+    # index p(k), which each itemgetter also reads last, so that a getter of
+    # one type still returns a tuple.
+    sentinel = len(mus)
+    # bbar_getters[m] reads Bbar_{mu^m} of every mu off a Bbar column.
+    bbar_getters = [itemgetter(*row, sentinel) for row in rows[: order + 1]]
+    # a_columns[q][s] = a_mu[q]; weighted_bbar[q][s] = q * Bbar_mu[q].
+    a_columns: list[list[int] | None] = [None] * order
+    weighted_bbar = [[], [1] * sentinel + [0]]
+    zero_column = [0] * (sentinel + 1)
 
     # Products as (where, series, parts, s).  For Bbar_mu, and for B_lam with
     # lam = mu + (1,), the factor of part i is C_nu(x^i) with nu = mu^i, the
     # type mus[rows[i][s]].  A lam with no fixed point (s is None) takes
     # nu = lam^i minus one fixed point.
-    products = list(zip(repeat(where_bbar), bbar, mus, range(len(mus))))
+    where_c, where_bbar, where_b = f"k={k}, mu=", f"k={k}, Bbar, mu=", f"k={k}, B, lam="
+    products = list(zip(repeat(where_bbar), bbar, mus, range(sentinel)))
     products += [
         (where_b, table, lam, index[lam[:-1]] if lam[-1] == 1 else None)
         for lam, table in zip(lams, b)
     ]
-    one_part, steps = [], []
-    # Part i's column: each product's weight (multiplicity * i) and the a_nu
-    # it scales, with weight 0 on a zero source where i is no part of it.
+    # One batch grows every C_mu, then every product of two parts or more.
+    # Part i's column holds each product's weight (multiplicity * i) and the
+    # index of the a_nu it scales, the sentinel where i is no part of it.
     # Every part i <= k is in some product of two parts or more (i, 1, ...).
-    unused = [0] * order
-    columns = {i: ([0] * len(products), [unused] * len(products)) for i in range(1, k + 1)}
-    for where, series, parts, s in products:
-        if s is None:
-            nus = {i: index[cycle_power(parts, i)[:-1]] for i in set(parts)}
-        else:
-            nus = {i: rows[i][s] for i in set(parts)}
-        if len(parts) == 1:
-            # C_nu(x^i) itself.
-            one_part.append((series, c[nus[parts[0]]], parts[0]))
-            continue
-        j = len(steps)
-        for i, nu in nus.items():
-            weights, sources = columns[i]
-            weights[j] = parts.count(i) * i
-            sources[j] = log_deriv[nu]
-        steps.append(([], series, where, parts))
+    series, names, one_part = c[:], list(zip(repeat(where_c), mus)), []
+    batch = len(products) - 2  # all but Bbar_(k) and B_(k+1)
+    weights = [[0] * batch for _ in range(k)]
+    sources = [[sentinel] * batch for _ in range(k)]
+    for where, table, parts, s in products:
+        j = len(series) - sentinel
+        for i in set(parts):
+            nu = rows[i][s] if s is not None else index[cycle_power(parts, i)[:-1]]
+            if len(parts) == 1:
+                # C_nu(x^i) itself, read off C.
+                one_part.append((table, c[nu], i))
+            else:
+                weights[i - 1][j] = parts.count(i) * i
+                sources[i - 1][j] = nu
+        if len(parts) > 1:
+            series.append(table)
+            names.append((where, parts))
+    # Part 1 divides every degree, so each degree's column starts from it.
+    (_, first_weights, first_getter), *part_columns = [
+        (i, weights[i - 1], itemgetter(*sources[i - 1], sentinel)) for i in range(1, k + 1)
+    ]
+    del sources  # the getters hold the indices
+    # log_deriv[j][n - 1] is the x^n term of series j's log-derivative, so
+    # log_deriv[s][q - 1] = a_mu[q] = q * [x^q] log C_mu.
+    log_deriv: list[list[int]] = [[] for _ in series]
 
-    # Each log-derivative term is summed a column at a time, lazily: a_d and
-    # g_d yield one value per step as _euler_steps takes it.
     for d in range(1, order + 1):
         # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
         # only through divisors m of d, since Bbar has no constant term.
-        a_d: Iterable[int] = repeat(0)
+        a_d = zero_column
         for m in divs[d]:
             q = d // m
-            a_d = map(add, a_d, map(q.__mul__, map(itemgetter(q), by_power[m])))
-        _euler_steps(c_steps, a_d, d)
-        if d < order:
-            # Degree d+1 of Bbar and B is degree d of a product of C factors.
-            for series, c_nu, i in one_part:
-                series.append(0 if d % i else c_nu[d // i])
-            g_d: Iterable[int] = repeat(0)
-            for i, (weights, sources) in columns.items():
-                if d % i == 0:
-                    terms = map(itemgetter(d // i - 1), sources)
-                    g_d = map(add, g_d, map(mul, weights, terms))
-            _euler_steps(steps, g_d, d)
+            a_d = map(add, a_d, bbar_getters[m](weighted_bbar[q]))
+            if d + q > order:
+                weighted_bbar[q] = None  # read for the last time
+        a_d = list(a_d)
+        if d == order:
+            _euler_steps(log_deriv[:sentinel], c, a_d, d, names)
+            break
+        if 2 * d < order:
+            a_columns[d] = a_d  # parts i >= 2 read it at degrees i * d < order
+        # Degree d+1 of Bbar and B is degree d of a product of C factors.
+        g_d = map(mul, first_weights, first_getter(a_d))
+        for i, weights_i, getter in part_columns:
+            if d % i == 0:
+                q = d // i
+                g_d = map(add, g_d, map(mul, weights_i, getter(a_columns[q])))
+                if i == k or d + q >= order:
+                    a_columns[q] = None  # read for the last time
+        _euler_steps(log_deriv, series, chain(islice(a_d, sentinel), g_d), d, names)
+        for table, c_nu, i in one_part:
+            table.append(0 if d % i else c_nu[d // i])
+        weighted_bbar.append([*map(mul, map(itemgetter(d + 1), bbar), repeat(d + 1)), 0])
 
     return SeriesCache(
         k=k, order=order, c=dict(zip(mus, c)), bbar=dict(zip(mus, bbar)), b=dict(zip(lams, b))

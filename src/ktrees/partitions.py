@@ -115,7 +115,10 @@ def cycle_power(lam: Partition, i: int) -> Partition:
     parts: list[int] = []
     for p in lam:
         g = gcd(p, i)
-        parts.extend([p // g] * g)
+        if g == 1:
+            parts.append(p)
+        else:
+            parts += [p // g] * g
     parts.sort(reverse=True)
     return tuple(parts)
 

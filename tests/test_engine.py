@@ -498,27 +498,40 @@ def test_euler_steps_refuse_a_non_integral_exponential():
     # shared step produces 1, 1 and must refuse 1/2 at degree 2, naming the
     # series.  Shifted by x (as Bbar and B are), the same remainder is at x^3.
     g, series = [], [1]
-    engine._euler_steps([(g, series, "k=1, mu=", (1,))], [1], 1)
+    engine._euler_steps([g], [series], [1], 1, [("k=1, mu=", (1,))])
     assert (g, series) == ([1], [1, 1])
     with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 2: 1/2 is not"):
-        engine._euler_steps([(g, series, "k=1, mu=", (1,))], [0], 2)
+        engine._euler_steps([g], [series], [0], 2, [("k=1, mu=", (1,))])
     with pytest.raises(IntegralityError, match=r"^k=1, B, lam=\(1, 1\), degree 3: 1/2 is"):
-        engine._euler_steps([([1], [0, 1, 1], "k=1, B, lam=", (1, 1))], [0], 2)
+        engine._euler_steps([[1]], [[0, 1, 1]], [0], 2, [("k=1, B, lam=", (1, 1))])
     assert series == [1, 1]
+
+
+def test_a_batch_names_its_first_inexact_series_and_grows_none():
+    # Both series are exp(x) through x^1.  At degree 2 the first one's
+    # log-derivative gains x^2, so 2 * G[2] = 1 + 1 divides; the second's
+    # does not, 2 * G[2] = 1.  The batch checks every remainder before any
+    # series grows, and names the series that has one, not the first.
+    first, second = [1, 1], [1, 1]
+    names = [("k=1, mu=", (1,)), ("k=2, mu=", (1, 1))]
+    with pytest.raises(IntegralityError, match=r"^k=2, mu=\(1, 1\), degree 2: 1/2 is not"):
+        engine._euler_steps([[1], [1]], [first, second], [1, 0], 2, names)
+    assert (first, second) == ([1, 1], [1, 1])
 
 
 def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
     # A product of integral series is integral, so no wrong factor or
     # weight breaks a Bbar_mu step first; plant the remainder instead.  The
-    # first step on series shifted by x at n = 2 is Bbar_(1, 1)[3] at k = 2,
-    # the first product with two parts: its log-derivative's x^2 term gains
-    # 1, so the sum gains C_(1)[0] = 1 and no longer divides by 2.
+    # first series shifted by x in the batch at n = 2 is Bbar_(1, 1)[3] at
+    # k = 2, the first product with two parts: its log-derivative's x^2
+    # term gains 1, so the sum gains C_(1)[0] = 1 and no longer divides by 2.
     steps = engine._euler_steps
 
-    def planted(entries, column, n):
-        if n == 2 and entries and len(entries[0][1]) == n + 1:
-            column = (value + (j == 0) for j, value in enumerate(column))
-        steps(entries, column, n)
+    def planted(gs, series, column, n, names):
+        column = list(column)
+        if n == 2:
+            column[[len(table) for table in series].index(n + 1)] += 1
+        steps(gs, series, column, n, names)
 
     monkeypatch.setattr(engine, "_euler_steps", planted)
     located = r"^k=2, Bbar, mu=\(1, 1\), degree 3: 15/2 is not an integer$"
@@ -528,11 +541,15 @@ def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
 
 # SHA-256 of repr((cache.c, cache.bbar, cache.b)): every per-type table, its
 # keys and their order.  Taken from the solve before its loop was flattened,
-# in both regimes: deep and bigint-bound (small k), wide and short (large k).
+# in both regimes: deep and bigint-bound (small k), wide and short (large k);
+# (11, 16), the solve of stable --terms 17, and (13, 12), one with k > order,
+# from the solve before its Euler steps were batched.
 SOLVE_DIGESTS = {
     (1, 200): "1c3bca992ea989ff399446197c3882f3e671e88d6034e6d7f28e4951789467a7",
     (5, 80): "1d6c38edac404e15ddfe6a017e21527823bd5cf7530837fb078c961884324339",
+    (11, 16): "25b761b034acfb4a008c93582d2e0a5745bcb907095d3b2a84fafe38122d120d",
     (12, 12): "b1c558ea1b4d9a69d474b177147a5ff627c36d3db1bd349982cd0ec87a1ebd6f",
+    (13, 12): "0be5c3fdba8a679853bc492a40a76a71bd83cab53ec2c68a0def227ff0d250b4",
     (14, 16): "c029850e11b92f2ec89002477ff89dd21859fc715126218c5c15687e5cc09274",
 }
 
