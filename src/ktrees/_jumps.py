@@ -206,16 +206,12 @@ def _second_jump(trees: list[int], n: int) -> int:
     square = [at(a, a, d) for d in range(n + 1)]
     w = [at(square, recip, d) for d in range(n + 1)]
     a2, w2 = ([0 if d % 2 else f[d // 2] for d in range(n + 1)] for f in (a, w))
-    jump = 0
-    for num, den in (
+    cases = (
         (at(square, a, n) + 3 * at(a, a2, n) + 2 * (0 if n % 3 else a[n // 3]), 6),
         (at(square, w, n) + w2[n] + at(a, w2, n), 2),
-    ):
-        quotient, remainder = divmod(num, den)
-        if remainder:
-            raise IntegralityError.for_quotient(f"second jump, degree {n}", num, den)
-        jump += quotient
-    return jump
+    )
+    where = f"second jump, degree {n}"
+    return sum(IntegralityError.quotient(num, den, where) for num, den in cases)
 
 
 def _third_jump(trees: list[int], n: int) -> int:
@@ -305,13 +301,8 @@ def _third_jump(trees: list[int], n: int) -> int:
             8,
         ),
     )
-    jump = 0
-    for num, den in cases:
-        quotient, remainder = divmod(num, den)
-        if remainder:
-            raise IntegralityError.for_quotient(f"third jump, degree {n}", num, den)
-        jump += quotient
-    return jump
+    where = f"third jump, degree {n}"
+    return sum(IntegralityError.quotient(num, den, where) for num, den in cases)
 
 
 def _row(k: int, order: int, bundles: dict) -> list[int]:

@@ -18,8 +18,10 @@ then combines its series into U on ints too: the combination is multiplied
 through by its common denominator (2, 6, 24 and 120 for k = 1..4) and
 divided by it once per coefficient, and that division must be exact.
 :func:`second_jump` rests instead on the proof in :mod:`ktrees._jumps`
-and reads only the rooted trees R.  Every result is a
-plain ``list[int]``, like the engine's rows.
+and reads only the rooted trees R.  Every division here, the solve's by
+the degree too, is :meth:`IntegralityError.quotient`, which raises the
+error for a remainder.  Every result is a plain ``list[int]``, like the
+engine's rows.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ Type = tuple[int, ...]
 System = dict[Type, tuple[list[tuple[Type, int]], Callable[[int], Type]]]
 # A weighted sum of coefficient lists: (weight, list) pairs.
 Terms = list[tuple[int, list[int]]]
-
-
-def _divide(num: int, den: int, where: str) -> int:
-    """num / den, which must be exact: a remainder raises IntegralityError
-    naming ``where``."""
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise IntegralityError.for_quotient(where, num, den)
-    return quotient
 
 
 def _mul(*factors: list[int]) -> list[int]:
@@ -82,7 +75,7 @@ def _reduce(k: int, den: int, c_terms: Terms, x_terms: Terms) -> list[int]:
         num = sum(w * f[n] for w, f in c_terms)
         if n:
             num -= sum(w * f[n - 1] for w, f in x_terms)
-        out.append(_divide(num, den, f"k={k}, degree {n}"))
+        out.append(IntegralityError.quotient(num, den, f"k={k}, degree {n}"))
     return out
 
 
@@ -116,7 +109,7 @@ def _fixed_points(order: int, system: System) -> dict[Type, list[int]]:
             a = log_deriv[mu]
             a.append(sum((n // m) * bbar[power(m)][n // m] for m in range(1, n + 1) if n % m == 0))
             total = sum(x * y for x, y in zip(a[1:], reversed(c[mu])))
-            c[mu].append(_divide(total, n, f"k={sum(mu)}, mu={mu}, degree {n}"))
+            c[mu].append(IntegralityError.quotient(total, n, f"k={sum(mu)}, mu={mu}, degree {n}"))
     return c
 
 
@@ -164,8 +157,9 @@ def second_jump(order: int) -> list[int]:
             _mul(a, a, a, a, _geometric(a)), _mul(a2, a2, [1, *a[1:]], _geometric(a2))
         )
     ]
+    quotient = IntegralityError.quotient
     return [
-        _divide(t, 6, f"second jump, degree {n}") + _divide(p, 2, f"second jump, degree {n}")
+        quotient(t, 6, f"second jump, degree {n}") + quotient(p, 2, f"second jump, degree {n}")
         for n, (t, p) in enumerate(zip(triples, paths))
     ]
 

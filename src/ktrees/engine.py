@@ -61,10 +61,11 @@ bottom-up pass per degree reaches a fixed point exactly.  Every
 coefficient counts the trees fixed by one permutation, so the solve and the
 aggregation run on Python ints: each division (by the degree in the
 exponential recurrence, by the group order in the orbit averages) must be
-exact, and a remainder raises ``IntegralityError`` at the coefficient that
-produced it.  The results (the B, C, E aggregates, the per-type fixed counts
-and every row of :func:`count_ktrees`) are plain lists of ints, as are the
-closed forms' rows in :mod:`closedforms`.  The rational :class:`Series`,
+exact, and :meth:`IntegralityError.quotient` raises the error for a
+remainder at the coefficient that produced it.  The results (the B, C, E
+aggregates, the per-type fixed counts and every row of
+:func:`count_ktrees`) are plain lists of ints, as are the closed forms'
+rows in :mod:`closedforms`.  The rational :class:`Series`,
 a value type with no arithmetic, appears only in the ``c_table`` /
 ``bbar_table`` views; the rational algebra on it is the tests' reference.
 """
@@ -192,16 +193,15 @@ def _euler_steps(
     must divide exactly for every series before any of them grows: a
     remainder raises IntegralityError at the first series of the batch that
     has one, named by ``names[b]`` = (where, type) and the degree
-    len(series[b]) of the coefficient being produced, a location formatted
-    only then.
+    len(series[b]) of the coefficient being produced, by
+    :meth:`IntegralityError.quotient`; locations are formatted only once a
+    remainder is found.
     """
     any(map(list.append, gs, column))
     totals = list(map(sum, map(map, repeat(mul), gs, map(reversed, series))))
     if any(map(mod, totals, repeat(n))):
         for total, table, (where, key) in zip(totals, series, names):
-            if total % n:
-                where = f"{where}{key}, degree {len(table)}"
-                raise IntegralityError.for_quotient(where, total, n)
+            IntegralityError.quotient(total, n, f"{where}{key}, degree {len(table)}")
     any(map(list.append, series, map(floordiv, totals, repeat(n))))
 
 
@@ -360,17 +360,18 @@ def _orbit_average(
 
     Kept in integers: each type is weighted by its number of permutations
     size!/z_lam, the weights add up to the group order size!, and the one
-    division by it per coefficient must be exact.
+    division by it per coefficient must be exact.  Every remainder is
+    checked before any quotient is taken: a remainder raises
+    IntegralityError at the lowest degree that has one, naming k, ``name``
+    and that degree, by :meth:`IntegralityError.quotient`; locations are
+    formatted only once a remainder is found.
     """
     group = sum(weights)
-    out = []
-    for n, column in enumerate(zip(*fixed)):
-        num = sum(map(mul, weights, column))
-        quotient, remainder = divmod(num, group)
-        if remainder:
-            raise IntegralityError.for_quotient(f"k={cache.k}, {name}, degree {n}", num, group)
-        out.append(quotient)
-    return out
+    nums = [sum(map(mul, weights, column)) for column in zip(*fixed)]
+    if any(map(mod, nums, repeat(group))):
+        for n, num in enumerate(nums):
+            IntegralityError.quotient(num, group, f"k={cache.k}, {name}, degree {n}")
+    return list(map(floordiv, nums, repeat(group)))
 
 
 def compute_B(cache: SeriesCache) -> list[int]:

@@ -1,11 +1,12 @@
 """The integrality error, and the rational series type of the engine's views.
 
 Every counting series is solved and combined on Python ints, each division
-checked to be exact; a remainder raises :class:`IntegralityError`.  A
-:class:`Series` is an immutable, dense vector of ``Fraction`` coefficients
-truncated at an explicit order: the value type of the engine's
-``SeriesCache.c_table`` and ``bbar_table`` views.  The rational algebra on
-it is the tests' independent reference and lives with the tests.
+checked to be exact: :meth:`IntegralityError.quotient` returns an exact
+quotient and raises the error for a remainder.  A :class:`Series` is an
+immutable, dense vector of ``Fraction`` coefficients truncated at an
+explicit order: the value type of the engine's ``SeriesCache.c_table`` and
+``bbar_table`` views.  The rational algebra on it is the tests'
+independent reference and lives with the tests.
 """
 
 from __future__ import annotations
@@ -18,19 +19,29 @@ from typing import Iterable
 class IntegralityError(ValueError):
     """A coefficient expected to be an integer is not one.
 
-    Raised by the exact divisions of the engine (the exponential recurrence,
-    the orbit averages) and of the closed forms (the fixed points, the
-    reduced combinations) for a remainder, naming where it happened.  It
+    Raised by :meth:`quotient`, the one exact division of the package: the
+    engine's (the exponential recurrence, the orbit averages), the closed
+    forms' (the fixed points, the reduced combinations) and the jumps'.  It
     signals a bug in the calling computation (counting series must have
     integer coefficients), never bad user input.
     """
 
     @classmethod
-    def for_quotient(cls, where: str, num: int, den: int) -> IntegralityError:
-        """The error for the inexact quotient ``num`` / ``den`` at ``where``,
-        the fraction in lowest terms."""
-        g = gcd(num, den)
-        return cls(f"{where}: {num // g}/{den // g} is not an integer")
+    def quotient(cls, num: int, den: int, where: str) -> int:
+        """``num // den``, which must be exact: a remainder raises the error
+        naming ``where`` and the fraction in lowest terms.
+
+        >>> IntegralityError.quotient(-12, 4, "x")
+        -3
+        >>> IntegralityError.quotient(6, 4, "x")
+        Traceback (most recent call last):
+        ...
+        ktrees.series.IntegralityError: x: 3/2 is not an integer
+        """
+        if num % den:
+            g = gcd(num, den)
+            raise cls(f"{where}: {num // g}/{den // g} is not an integer")
+        return num // den
 
 
 class Series:

@@ -539,6 +539,22 @@ def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
         solve_system(2, 4)
 
 
+def test_an_inexact_orbit_average_names_k_the_aggregate_and_its_lowest_degree():
+    # B at k = 1 averages B_(2) and B_(1, 1), one permutation each, over the
+    # group order 2.  The planted tables sum to 1 at degree 2, which does not
+    # divide.  With B_(2)[1] = 0 as well, degrees 1 and 2 both fail, and the
+    # error names the lower one.
+    b = {(2,): [0, 1, 0], (1, 1): [0, 1, 1]}
+    cache = engine.SeriesCache(k=1, order=2, c={(1,): [1, 1, 1]}, bbar={(1,): [0, 1, 1]}, b=b)
+    with pytest.raises(IntegralityError) as raised:
+        compute_B(cache)
+    assert str(raised.value) == "k=1, B, degree 2: 1/2 is not an integer"
+    b[(2,)] = [0, 0, 0]
+    with pytest.raises(IntegralityError) as raised:
+        compute_B(cache)
+    assert str(raised.value) == "k=1, B, degree 1: 1/2 is not an integer"
+
+
 # SHA-256 of repr((cache.c, cache.bbar, cache.b)): every per-type table, its
 # keys and their order.  Taken from the solve before its loop was flattened,
 # in both regimes: deep and bigint-bound (small k), wide and short (large k);

@@ -1,5 +1,6 @@
 """U's third jump: against direct solves, and each of its six cases against
-a brute-force count of the shapes the proof in ``ktrees._jumps`` names."""
+a brute-force count of the shapes the proof in ``ktrees._jumps`` names; the
+second jump's two cases the same way."""
 
 from fractions import Fraction
 from functools import reduce
@@ -197,3 +198,55 @@ def test_each_case_of_the_third_jump_counts_its_shapes():
         assert _brute_force(n) == {case: row[n] for case, row in cases.items()}, n
         assert sum(row[n] for row in cases.values()) == _jumps._third_jump(trees, n), n
     assert [cases["b3"][n] for n in range(6, 10)] == [9, 56, 307, 1465]
+
+
+# ------------------------------------------ the second jump's two cases
+
+def _second_cases(order):
+    """The second jump's two cases through ``order``, as the docstring of
+    ``ktrees._jumps._second_jump`` writes them, in the tests' rational
+    series algebra: one front in three hedra, Z_3(A), and two fronts of one
+    color on no common hedron, (A^4 G + A_2^2 (1 + A) G_2) / 2."""
+    a = Series(order, [0, *rooted_trees(order - 1)])
+    g = one(order)
+    for _ in range(order):
+        g = add(one(order), mul(a, g))  # G = 1 / (1 - A)
+    a2 = substitute_power(a, 2)
+    cubes = reduce(
+        add, [reduce(mul, [a, a, a]), scale(mul(a, a2), 3), scale(substitute_power(a, 3), 2)]
+    )
+    pairs = add(
+        reduce(mul, [a, a, a, a, g]),
+        reduce(mul, [a2, a2, add(one(order), a), substitute_power(g, 2)]),
+    )
+    return {"one front": scale(cubes, Fraction(1, 6)), "two fronts": scale(pairs, HALF)}
+
+
+def _second_brute_force(n):
+    """The k-trees of each case of the second jump at n hedra, counted as
+    the distinct shapes of the proof, over networkx's trees."""
+    nx = pytest.importorskip("networkx")
+    one_front = {
+        _shape(tree, {f: "c"}, {})
+        for tree in nx.nonisomorphic_trees(n + 1)
+        for f in tree
+        if tree.degree(f) == 3
+    }
+    two_fronts = {
+        _shape(tree, {}, {e: "c", e2: "c"})
+        for tree in nx.nonisomorphic_trees(n)
+        for e, e2 in combinations(tree.edges, 2)
+        if not set(e) & set(e2)
+    }
+    return {"one front": len(one_front), "two fronts": len(two_fronts)}
+
+
+def test_each_case_of_the_second_jump_counts_its_shapes():
+    # n = 5..10 takes well under a second.
+    cases = {case: integer_coeffs(f) for case, f in _second_cases(10).items()}
+    trees = count_ktrees(1, 10).C
+    for n in range(5, 11):
+        assert _second_brute_force(n) == {case: row[n] for case, row in cases.items()}, n
+        assert sum(row[n] for row in cases.values()) == _jumps._second_jump(trees, n), n
+    assert [cases["one front"][n] for n in range(5, 11)] == [3, 7, 18, 44, 117, 299]
+    assert [cases["two fronts"][n] for n in range(5, 11)] == [3, 12, 38, 127, 395, 1237]
