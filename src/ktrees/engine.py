@@ -42,7 +42,7 @@ the bookkeeping around it (which tables a log-derivative term reads, with
 what weight) is settled once per solve, and each degree grows every C_mu
 and every product in one batch of such steps, each pass over the batch a
 C-level ``map``, with every remainder checked before any series grows.
-The batch's new terms are columns indexed by type: C's at degree d sums,
+A degree d's new log-derivative terms are columns indexed by type: C's sums,
 over divisors m of d, the column of q * Bbar[q] at q = d/m read at the
 index of every mu^m by one itemgetter, and the products' sums, over their
 parts i | d, C's column kept from degree d/i read at every factor's nu and
@@ -54,6 +54,15 @@ from those, and there is a row for every part of every mu whatever the
 order.  A lam = mu + (1,) looks mu up by its key, as E looks up each
 mu + (1,).  The per-type tables become dicts keyed by the partitions only
 when the solve returns.
+
+A batch comes in two orientations.  While its series are short and it is
+wide, it keeps each degree's log-derivative terms and new coefficients as
+columns over the batch and takes all of a degree's dot products down them
+in one ``zip``, which spares each series the set-up of a dot product of
+its own.  At the first degree where that stops paying, d > 16 or
+2 * d >= the batch's width by the measured crossover, it is transposed
+once into one list per series, and each series takes its own dot product
+from there on.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -175,34 +184,68 @@ def _power_rows(
     return rows
 
 
+def _first_row_degree(width: int) -> int:
+    """The first degree at which a batch of ``width`` series takes its dot
+    products by rows; below it, the batch takes them by columns.
+
+    Columns are taken while d <= 16 and 2 * d < width, from the measured
+    crossover of the two orientations.  A column pass spares each series
+    the set-up of its own dot product but costs each degree one ``map`` per
+    term, so a narrow batch crosses over early: with its one transposition
+    counted, columns stop paying at about d = 4, 6-8, 8-14 and 12-20 in
+    batches of 5, 9, 15 and 23 series, and never pay for the 2 series of
+    k = 1; 2 * d < width keeps to the low end.  One degree's pass by
+    columns costs 0.39-0.45 of the rows' at d = 1 from 72 series up and
+    0.84-0.92 at d = 16, and rows win from d = 18-24; in whole solves,
+    moving the switch from 17 to 14 or 20 is within the noise, while
+    columns throughout cost 13% more at (25, 26) and 19% at (27, 32).
+    """
+    return min(17, -(-width // 2))
+
+
 def _euler_steps(
     gs: list[list[int]],
     series: list[list[int]],
     column: Iterable[int],
     n: int,
-    names: list[tuple[str, Partition]],
-) -> None:
-    """Append the x^n coefficient of G = exp(L) to every series of one batch.
+    names: list[tuple[str, Partition, int]],
+    columns: bool = False,
+) -> list[int] | None:
+    """Grow every series of one batch by the x^n coefficient of G = exp(L).
 
-    Series b of the batch is ``series[b]``, x^shift * G holding G through
-    degree n - 1, grown from ``gs[b]``, the log-derivative g = x L'(x) of
-    its exponent from the x^1 term on (g[t] at index t - 1), which first
-    takes its x^n term from ``column[b]``; entries of ``column`` past the
-    batch are left unread.  Each pass over the batch is one C-level ``map``.
-    The Euler-transform recurrence n * G[n] = sum_{t=1..n} g[t] * G[n-t]
-    must divide exactly for every series before any of them grows: a
-    remainder raises IntegralityError at the first series of the batch that
-    has one, named by ``names[b]`` = (where, type) and the degree
-    len(series[b]) of the coefficient being produced, by
-    :meth:`IntegralityError.quotient`; locations are formatted only once a
-    remainder is found.
+    Series b holds G through degree n - 1, grown from the log-derivative
+    g = x L'(x) of its exponent from the x^1 term on, which first takes its
+    x^n term from ``column[b]``.  The batch comes in one of two
+    orientations.  By rows, ``gs[b]`` is series b's g (g[t] at index
+    t - 1) and ``series[b]`` its table x^shift * G; entries of ``column``
+    past the batch are left unread.  By ``columns``, ``gs[t - 1]`` holds
+    g[t] and ``series[t]`` holds G[t] of every series, ``column`` is a list
+    as long as the batch, and the grown column is appended to ``series``
+    and returned; a G column may run past the batch, and its excess is left
+    unread.  Each pass over the batch is one C-level ``map``: by rows one
+    dot product per series, each with its own ``map``, ``reversed`` and
+    ``sum``, by columns all of them down the columns in one ``zip``.  The Euler-transform
+    recurrence n * G[n] = sum_{t=1..n} g[t] * G[n-t] must divide exactly
+    for every series before any of them grows: a remainder raises
+    IntegralityError at the first series of the batch that has one, named
+    by ``names[b]`` = (where, type, shift) and the degree n + shift of the
+    coefficient being produced, by :meth:`IntegralityError.quotient`;
+    locations are formatted only once a remainder is found.
     """
-    any(map(list.append, gs, column))
-    totals = list(map(sum, map(map, repeat(mul), gs, map(reversed, series))))
+    if columns:
+        gs.append(column)
+        totals = list(map(sum, zip(*map(map, repeat(mul), gs, reversed(series)))))
+    else:
+        any(map(list.append, gs, column))
+        totals = list(map(sum, map(map, repeat(mul), gs, map(reversed, series))))
     if any(map(mod, totals, repeat(n))):
-        for total, table, (where, key) in zip(totals, series, names):
-            IntegralityError.quotient(total, n, f"{where}{key}, degree {len(table)}")
+        for total, (where, key, shift) in zip(totals, names):
+            IntegralityError.quotient(total, n, f"{where}{key}, degree {n + shift}")
+    if columns:
+        series.append(list(map(floordiv, totals, repeat(n))))
+        return series[-1]
     any(map(list.append, series, map(floordiv, totals, repeat(n))))
+    return None
 
 
 def solve_system(k: int, order: int) -> SeriesCache:
@@ -243,6 +286,18 @@ def solve_system(k: int, order: int) -> SeriesCache:
     a fixed point reads the rows of mu = lam minus that point, found by its
     key; a B_lam without one costs one :func:`cycle_power` per distinct
     part.
+
+    The batch of width p(k+1) + 2 * p(k) - 2 takes its dot products by
+    columns below degree :func:`_first_row_degree` of its width and by rows
+    from there on (never by columns at k = 1).  By columns no per-type
+    table grows: each degree appends one column of log-derivative terms and
+    one of new coefficients, which the batch returns and the solve extends
+    by the products of one part, reading their C_nu[d/i] off C's column
+    kept from degree d/i; the next column of q * Bbar_mu[q] is read off it.
+    At the switch, or after the last degree if the batch never switches,
+    the tables are filled from the columns one zip row at a time and the
+    columns are dropped.  By rows each series grows its own table, and the
+    solve reads C_nu[d/i] and Bbar_mu[d+1] off the tables.
 
     Every division must be exact, and a remainder raises IntegralityError
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
@@ -289,35 +344,43 @@ def solve_system(k: int, order: int) -> SeriesCache:
         (where_b, table, lam, index[lam[:-1]] if lam[-1] == 1 else None)
         for lam, table in zip(lams, b)
     ]
-    # One batch grows every C_mu, then every product of two parts or more.
+    # One batch grows every C_mu, then every product of two parts or more;
+    # a grown column then holds the products of one part, read off C.
+    products.sort(key=lambda product: len(product[2]) == 1)
     # Part i's column holds each product's weight (multiplicity * i) and the
     # index of the a_nu it scales, the sentinel where i is no part of it.
     # Every part i <= k is in some product of two parts or more (i, 1, ...).
-    series, names, one_part = c[:], list(zip(repeat(where_c), mus)), []
+    series, names, one_part = c[:], list(zip(repeat(where_c), mus, repeat(0))), []
     batch = len(products) - 2  # all but Bbar_(k) and B_(k+1)
     weights = [[0] * batch for _ in range(k)]
     sources = [[sentinel] * batch for _ in range(k)]
-    for where, table, parts, s in products:
-        j = len(series) - sentinel
+    bbar_slots = [0] * sentinel  # where Bbar_mu lands in a column the batch grew
+    for slot, (where, table, parts, s) in enumerate(products, sentinel):
+        if where == where_bbar:
+            bbar_slots[s] = slot
         for i in set(parts):
             nu = rows[i][s] if s is not None else index[cycle_power(parts, i)[:-1]]
             if len(parts) == 1:
                 # C_nu(x^i) itself, read off C.
-                one_part.append((table, c[nu], i))
+                one_part.append((table, c[nu], nu, i))
             else:
-                weights[i - 1][j] = parts.count(i) * i
-                sources[i - 1][j] = nu
+                weights[i - 1][slot - sentinel] = parts.count(i) * i
+                sources[i - 1][slot - sentinel] = nu
         if len(parts) > 1:
             series.append(table)
-            names.append((where, parts))
+            names.append((where, parts, 1))
+    tables = series + [table for table, *_ in one_part]
     # Part 1 divides every degree, so each degree's column starts from it.
     (_, first_weights, first_getter), *part_columns = [
         (i, weights[i - 1], itemgetter(*sources[i - 1], sentinel)) for i in range(1, k + 1)
     ]
     del sources  # the getters hold the indices
-    # log_deriv[j][n - 1] is the x^n term of series j's log-derivative, so
-    # log_deriv[s][q - 1] = a_mu[q] = q * [x^q] log C_mu.
-    log_deriv: list[list[int]] = [[] for _ in series]
+    # By columns, g_columns[n - 1] holds the x^n term of every series'
+    # log-derivative and series_columns[n] the x^n term of every G, in the
+    # order of tables; by rows, log_deriv[j][n - 1] is series j's x^n term,
+    # so log_deriv[s][q - 1] = a_mu[q] = q * [x^q] log C_mu.
+    g_columns, series_columns = [], [[1] * len(tables)]
+    switch = _first_row_degree(len(series))
 
     for d in range(1, order + 1):
         # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
@@ -329,8 +392,19 @@ def solve_system(k: int, order: int) -> SeriesCache:
             if d + q > order:
                 weighted_bbar[q] = None  # read for the last time
         a_d = list(a_d)
+        if d == switch:
+            # Rows are cheaper from here on: transpose once, one row at a time.
+            log_deriv: list[list[int]] = [[] for _ in series]
+            any(map(list.extend, log_deriv, zip(*g_columns)))
+            any(map(list.extend, tables, zip(*series_columns[1:])))
+            g_columns = series_columns = None
         if d == order:
-            _euler_steps(log_deriv[:sentinel], c, a_d, d, names)
+            if d < switch:
+                _euler_steps(g_columns, series_columns, a_d[:sentinel], d, names, columns=True)
+                any(map(list.extend, tables, zip(*series_columns[1:-1])))
+                any(map(list.append, c, series_columns[-1]))
+            else:
+                _euler_steps(log_deriv[:sentinel], c, a_d, d, names)
             break
         if 2 * d < order:
             a_columns[d] = a_d  # parts i >= 2 read it at degrees i * d < order
@@ -342,10 +416,17 @@ def solve_system(k: int, order: int) -> SeriesCache:
                 g_d = map(add, g_d, map(mul, weights_i, getter(a_columns[q])))
                 if i == k or d + q >= order:
                     a_columns[q] = None  # read for the last time
-        _euler_steps(log_deriv, series, chain(islice(a_d, sentinel), g_d), d, names)
-        for table, c_nu, i in one_part:
-            table.append(0 if d % i else c_nu[d // i])
-        weighted_bbar.append([*map(mul, map(itemgetter(d + 1), bbar), repeat(d + 1)), 0])
+        g_d = chain(islice(a_d, sentinel), g_d)
+        if d < switch:
+            grown = _euler_steps(g_columns, series_columns, list(g_d), d, names, columns=True)
+            grown += [0 if d % i else series_columns[d // i][nu] for _, _, nu, i in one_part]
+            bbar_d = map(grown.__getitem__, bbar_slots)
+        else:
+            _euler_steps(log_deriv, series, g_d, d, names)
+            for table, c_nu, _, i in one_part:
+                table.append(0 if d % i else c_nu[d // i])
+            bbar_d = map(itemgetter(d + 1), bbar)
+        weighted_bbar.append([*map(mul, bbar_d, repeat(d + 1)), 0])
 
     return SeriesCache(
         k=k, order=order, c=dict(zip(mus, c)), bbar=dict(zip(mus, bbar)), b=dict(zip(lams, b))

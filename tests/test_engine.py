@@ -493,18 +493,38 @@ def test_integrality_failure_names_k_type_and_degree(monkeypatch):
         solve_system(2, 5)
 
 
+def _steps(by_columns, gs, series, column, n, names):
+    """``engine._euler_steps`` on one batch given by rows, run in either
+    orientation.  By columns the batch is transposed in, and what the step
+    leaves is transposed back into ``gs`` and ``series``, also when it
+    raises, so the same assertions read both orientations."""
+    if not by_columns:
+        return engine._euler_steps(gs, series, column, n, names)
+    shifts = [shift for _, _, shift in names]
+    g_columns = [list(terms) for terms in zip(*gs)]
+    G_columns = [list(terms) for terms in zip(*map(lambda t, s: t[s:], series, shifts))]
+    try:
+        return engine._euler_steps(g_columns, G_columns, list(column), n, names, columns=True)
+    finally:
+        for g, terms in zip(gs, zip(*g_columns)):
+            g[:] = terms
+        for table, shift, terms in zip(series, shifts, zip(*G_columns)):
+            table[shift:] = terms
+
+
 def test_euler_steps_refuse_a_non_integral_exponential():
     # g = x is the log-derivative of exp(x) = 1 + x + x^2/2 + ...: the
     # shared step produces 1, 1 and must refuse 1/2 at degree 2, naming the
     # series.  Shifted by x (as Bbar and B are), the same remainder is at x^3.
-    g, series = [], [1]
-    engine._euler_steps([g], [series], [1], 1, [("k=1, mu=", (1,))])
-    assert (g, series) == ([1], [1, 1])
-    with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 2: 1/2 is not"):
-        engine._euler_steps([g], [series], [0], 2, [("k=1, mu=", (1,))])
-    with pytest.raises(IntegralityError, match=r"^k=1, B, lam=\(1, 1\), degree 3: 1/2 is"):
-        engine._euler_steps([[1]], [[0, 1, 1]], [0], 2, [("k=1, B, lam=", (1, 1))])
-    assert series == [1, 1]
+    for by_columns in (False, True):
+        g, series = [], [1]
+        _steps(by_columns, [g], [series], [1], 1, [("k=1, mu=", (1,), 0)])
+        assert (g, series) == ([1], [1, 1])
+        with pytest.raises(IntegralityError, match=r"^k=1, mu=\(1,\), degree 2: 1/2 is not"):
+            _steps(by_columns, [g], [series], [0], 2, [("k=1, mu=", (1,), 0)])
+        with pytest.raises(IntegralityError, match=r"^k=1, B, lam=\(1, 1\), degree 3: 1/2 is"):
+            _steps(by_columns, [[1]], [[0, 1, 1]], [0], 2, [("k=1, B, lam=", (1, 1), 1)])
+        assert series == [1, 1]
 
 
 def test_a_batch_names_its_first_inexact_series_and_grows_none():
@@ -512,11 +532,12 @@ def test_a_batch_names_its_first_inexact_series_and_grows_none():
     # log-derivative gains x^2, so 2 * G[2] = 1 + 1 divides; the second's
     # does not, 2 * G[2] = 1.  The batch checks every remainder before any
     # series grows, and names the series that has one, not the first.
-    first, second = [1, 1], [1, 1]
-    names = [("k=1, mu=", (1,)), ("k=2, mu=", (1, 1))]
-    with pytest.raises(IntegralityError, match=r"^k=2, mu=\(1, 1\), degree 2: 1/2 is not"):
-        engine._euler_steps([[1], [1]], [first, second], [1, 0], 2, names)
-    assert (first, second) == ([1, 1], [1, 1])
+    names = [("k=1, mu=", (1,), 0), ("k=2, mu=", (1, 1), 0)]
+    for by_columns in (False, True):
+        first, second = [1, 1], [1, 1]
+        with pytest.raises(IntegralityError, match=r"^k=2, mu=\(1, 1\), degree 2: 1/2 is not"):
+            _steps(by_columns, [[1], [1]], [first, second], [1, 0], 2, names)
+        assert (first, second) == ([1, 1], [1, 1])
 
 
 def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
@@ -525,18 +546,24 @@ def test_an_inexact_bbar_step_names_k_bbar_mu_and_degree(monkeypatch):
     # first series shifted by x in the batch at n = 2 is Bbar_(1, 1)[3] at
     # k = 2, the first product with two parts: its log-derivative's x^2
     # term gains 1, so the sum gains C_(1)[0] = 1 and no longer divides by 2.
+    # The solve takes degree 2 by rows, then by columns.
     steps = engine._euler_steps
+    seen = []
 
-    def planted(gs, series, column, n, names):
+    def planted(gs, series, column, n, names, columns=False):
         column = list(column)
         if n == 2:
-            column[[len(table) for table in series].index(n + 1)] += 1
-        steps(gs, series, column, n, names)
+            seen.append(columns)
+            column[[shift for _, _, shift in names].index(1)] += 1
+        return steps(gs, series, column, n, names, columns)
 
     monkeypatch.setattr(engine, "_euler_steps", planted)
     located = r"^k=2, Bbar, mu=\(1, 1\), degree 3: 15/2 is not an integer$"
-    with pytest.raises(IntegralityError, match=located):
-        solve_system(2, 4)
+    for first_row_degree in (1, 3):
+        monkeypatch.setattr(engine, "_first_row_degree", lambda width: first_row_degree)
+        with pytest.raises(IntegralityError, match=located):
+            solve_system(2, 4)
+    assert seen == [False, True]
 
 
 def test_an_inexact_orbit_average_names_k_the_aggregate_and_its_lowest_degree():
@@ -559,7 +586,9 @@ def test_an_inexact_orbit_average_names_k_the_aggregate_and_its_lowest_degree():
 # keys and their order.  Taken from the solve before its loop was flattened,
 # in both regimes: deep and bigint-bound (small k), wide and short (large k);
 # (11, 16), the solve of stable --terms 17, and (13, 12), one with k > order,
-# from the solve before its Euler steps were batched.
+# from the solve before its Euler steps were batched; (14, 40) and (20, 24),
+# wide solves that switch from columns to rows, from the solve before it
+# took any dot product by columns.
 SOLVE_DIGESTS = {
     (1, 200): "1c3bca992ea989ff399446197c3882f3e671e88d6034e6d7f28e4951789467a7",
     (5, 80): "1d6c38edac404e15ddfe6a017e21527823bd5cf7530837fb078c961884324339",
@@ -567,6 +596,8 @@ SOLVE_DIGESTS = {
     (12, 12): "b1c558ea1b4d9a69d474b177147a5ff627c36d3db1bd349982cd0ec87a1ebd6f",
     (13, 12): "0be5c3fdba8a679853bc492a40a76a71bd83cab53ec2c68a0def227ff0d250b4",
     (14, 16): "c029850e11b92f2ec89002477ff89dd21859fc715126218c5c15687e5cc09274",
+    (14, 40): "89c6a5912ee9aea60598ee9fa08f7383fdef0c8a92ae834d2ad296dfc60ce3a9",
+    (20, 24): "f51ae618d5743b7fc7330f09aec6e14f898ac5f2f6cd9de6419714709c3e241f",
 }
 
 
@@ -575,3 +606,37 @@ def test_solve_tables_are_pinned(k, order):
     cache = solve_system(k, order)
     tables = repr((cache.c, cache.bbar, cache.b)).encode()
     assert hashlib.sha256(tables).hexdigest() == SOLVE_DIGESTS[k, order]
+
+
+# Each pinned solve's orientation at degree 1 and the degree at which it
+# switches to rows (None: never), so that the digests above keep both
+# orientations and the switch covered when the switch test changes.
+SOLVE_ORIENTATIONS = {
+    (1, 200): ("rows", None),
+    (5, 80): ("columns", 12),
+    (11, 16): ("columns", None),
+    (12, 12): ("columns", None),
+    (13, 12): ("columns", None),
+    (14, 16): ("columns", None),
+    (14, 40): ("columns", 17),
+    (20, 24): ("columns", 17),
+}
+
+
+@pytest.mark.parametrize("k, order", list(SOLVE_DIGESTS))
+def test_pinned_solves_start_and_switch_orientation_where_pinned(monkeypatch, k, order):
+    steps = engine._euler_steps
+    seen = []
+
+    def recorded(gs, series, column, n, names, columns=False):
+        seen.append((n, columns))
+        return steps(gs, series, column, n, names, columns)
+
+    monkeypatch.setattr(engine, "_euler_steps", recorded)
+    solve_system(k, order)
+    assert [n for n, _ in seen] == list(range(1, order + 1))
+    orientations = [columns for _, columns in seen]
+    assert orientations == sorted(orientations, reverse=True)  # columns, then rows
+    start = "columns" if orientations[0] else "rows"
+    switch = next((n for n, columns in seen if columns != orientations[0]), None)
+    assert (start, switch) == SOLVE_ORIENTATIONS[k, order]
