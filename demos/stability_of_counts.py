@@ -27,7 +27,7 @@ print("\nstable values:", stable)
 # Why: an (n-2)-tree with no vertex adjacent to all others is its n hedra
 # glued along a tree.  With the second and third jumps, one and two k lower
 # (one color used twice, then two repeats in all), stable_counts solves only
-# k = N-5 and k = 1.
+# k = N-5 and reads the jumps off the rooted trees.
 print("\nlast jump vs tree counts:")
 trees = table[1]
 for n in range(4, MAX_N + 1):

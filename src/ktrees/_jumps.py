@@ -1,10 +1,12 @@
 """U's jumps near the stable range, and the rows built from them.
 
-Rows at or above k = max(N - 5, 1) of U through N are built from two
-solves, at base = max(N - 5, 1) and at k = 1 (:func:`_solves`), by adding
-to U_base the jumps U_j[n] - U_{j-1}[n] that lie between base and k
-(:func:`_row`).  Three jumps are proven below, and each column n <= N has
-only those three between base and the stable range.
+Rows at or above k = max(N - 5, 1) of U through N are built from one
+solve, at base = max(N - 5, 1) (:func:`_solves`), by adding to U_base the
+jumps U_j[n] - U_{j-1}[n] that lie between base and k (:func:`_row`).
+Three jumps are proven below, and each column n <= N has only those three
+between base and the stable range.  All three are series in the rooted
+trees, which :func:`_rooted_trees` counts by their own recurrence, so a
+row reads no second solve.
 
 **The stable range.**  Take a k-tree with n hedra, its hedra in an order in
 which each after the first shares a k-clique (a front) with an earlier one.
@@ -31,7 +33,10 @@ the hedra, joined where they share a front, form a tree on n nodes.
 Conversely every tree on n nodes is glued up this way, and the vertices of
 the running intersection are twins, so which one a hedron drops is unique
 up to an automorphism: the map to trees is a bijection, and trees on n
-nodes are the U_1[n-1] 1-trees with n-1 hedra.
+nodes are the U_1[n-1] 1-trees with n-1 hedra.  By Otter's dissymmetry
+theorem they number [x^n] (A - (A^2 - A_2)/2), with A the rooted trees by
+nodes (see the notation below), so the rows read them off the rooted
+trees too.
 
 **The coloring.**  Color the vertices in the k+1 colors, as the paper's
 coding trees do.  A hedron has one vertex of each color, so each of its
@@ -57,9 +62,9 @@ up to isomorphism, to those trees with only the repeated colors named.  A
 front in two hedra is an edge of the tree of hedra, and a front in h >= 3
 hedra joins h subtrees of hedra.
 
-Notation: A = sum r(m) x^m is the rooted trees by nodes (hedra), the x
-times the C row of a k = 1 solve, and G = 1/(1 - A), so that A G is a
-sequence of m >= 1 rooted trees.  F_i means F(x^i) for any series F,
+Notation: A = sum r(m) x^m is the rooted trees by nodes (hedra), x times
+the rooted trees by edges, and G = 1/(1 - A), so that A G is a sequence
+of m >= 1 rooted trees.  F_i means F(x^i) for any series F,
 Z_2(F) = (F^2 + F_2)/2, Z_3(F) = (F^3 + 3 F F_2 + 2 F_3)/6 and
 Z_4(A) = (A^4 + 6 A^2 A_2 + 3 A_2^2 + 8 A A_3 + 6 A_4)/24.  Rooted trees
 with marked edges (fronts in two hedra) are read along the path from the
@@ -164,59 +169,112 @@ from operator import sub as minus
 
 from .series import IntegralityError
 
+Build = tuple[list[int], ...]
+
 
 def _solves(k: int, order: int) -> list[int]:
-    """The k whose solves through ``order`` :func:`_row` reads for row k.
+    """The k whose solve through ``order`` :func:`_row` reads for row k.
 
-    Up to base = max(order - 5, 1) that is k alone.  Above it, it is 1 and
-    base, which is 1 alone through order 6: each such row is the solve at
-    base plus the jumps between.
+    Up to base = max(order - 5, 1) that is k itself; above it, it is base:
+    each such row is the solve at base plus the jumps between.
 
     >>> [_solves(k, 10) for k in (4, 5, 6, 11)], _solves(3, 6)
-    ([[4], [5], [1, 5], [1, 5]], [1])
+    ([[4], [5], [5], [5]], [1])
     """
-    base = max(order - 5, 1)
-    return [k] if k <= base else sorted({1, base})
+    return [min(k, max(order - 5, 1))]
 
 
-def _second_jump(trees: list[int], n: int) -> int:
-    """U_{n-3}[n] - U_{n-4}[n] for n >= 5, from ``trees``, the rooted trees
-    by edges (the C row of a k = 1 solve) through at least degree n - 1.
+def _rooted_trees(order: int) -> list[int]:
+    """The rooted trees by edges through ``order``: entry n counts those
+    with n edges, n + 1 nodes.
 
-    With A = x * trees the rooted trees by nodes, A_2 = A(x^2) and
-    W = A^2 / (1 - A), so that W(x^2) = A_2^2 / (1 - A_2), it is
+    A root's subtrees are a multiset of edge-attached rooted trees, so
+    trees = exp(sum_{m>=1} x^m trees(x^m) / m), whose log-derivative gives
 
-        [x^n] (A^3 + 3 A A_2 + 2 A(x^3)) / 6  +  [x^n] (A^2 W + (1 + A) W(x^2)) / 2,
+        n * trees[n] = sum_{t=1..n} (sum_{d | t} d * trees[d - 1]) * trees[n - t].
+
+    Each division by n must be exact: a remainder raises IntegralityError
+    naming the rooted trees and n.
+
+    >>> _rooted_trees(6)
+    [1, 1, 2, 4, 9, 20, 48]
+    """
+    trees, divisor_sums = [1], [0] * (order + 1)
+    for n in range(1, order + 1):
+        weight = mul(n, trees[n - 1])
+        for t in range(n, order + 1, n):
+            divisor_sums[t] += weight
+        total = sum(map(mul, divisor_sums[1 : n + 1], reversed(trees)))
+        trees.append(IntegralityError.quotient(total, n, f"rooted trees, degree {n}"))
+    return trees
+
+
+def _times(f: list[int], g: list[int], low: int, top: int) -> list[int]:
+    """f * g through degree ``top``, which has no term below x^low."""
+    rev = g[top::-1]
+    return [0] * low + [sum(map(mul, f, rev[top - d :])) for d in range(low, top + 1)]
+
+
+def _at(f: list[int], g: list[int], n: int) -> int:
+    """[x^n] f * g, for g through degree n."""
+    return sum(map(mul, f, g[n::-1]))
+
+
+def _sub(f: list[int], i: int, top: int) -> list[int]:
+    """f(x^i) through degree ``top``."""
+    return [0 if d % i else f[d // i] for d in range(top + 1)]
+
+
+def _series(trees: list[int], top: int) -> Build:
+    """The series every jump reads, each a row of ints through degree
+    ``top``, from ``trees``, the rooted trees by edges through at least
+    degree top - 1: A = x * trees, A^2, A_2, G = 1 / (1 - A), A G = G - 1,
+    R = A^2 G and R_2, in that order.  :func:`_row` builds them once."""
+    a = [0, *trees[:top]]
+    g = [1]
+    for d in range(1, top + 1):
+        g.append(sum(map(mul, a[1 : d + 1], reversed(g))))
+    ag = [0, *g[1:]]
+    r = _times(a, ag, 2, top)
+    return a, _times(a, a, 2, top), _sub(a, 2, top), g, ag, r, _sub(r, 2, top)
+
+
+def _last(series: Build, n: int) -> int:
+    """U_{n-2}[n] - U_{n-3}[n] = U_1[n - 1] for n >= 4, from ``series``
+    (:func:`_series`) through at least degree n: the trees on n nodes,
+    [x^n] (2 A - A^2 + A_2) / 2 by Otter's dissymmetry (a tree rooted at a
+    node, less one rooted at an edge, plus one rooted at a symmetry edge).
+    A remainder raises IntegralityError naming the last jump and n.
+    """
+    a, aa, a2 = series[:3]
+    return IntegralityError.quotient(2 * a[n] - aa[n] + a2[n], 2, f"last jump, degree {n}")
+
+
+def _second(series: Build, n: int) -> int:
+    """U_{n-3}[n] - U_{n-4}[n] for n >= 5, from ``series`` (:func:`_series`)
+    through at least degree n.
+
+    It is
+
+        [x^n] (A^3 + 3 A A_2 + 2 A(x^3)) / 6  +  [x^n] (A^2 R + (1 + A) R_2) / 2,
 
     one front in three hedra and two fronts of one color, the two cases of
-    the proof in the module docstring (W is R there).  Each numerator counts
-    its shapes 6 or 2 times over, for any row of ints, so a remainder means
-    a wrong term here: it raises IntegralityError naming the second jump
-    and n.
+    the proof in the module docstring.  Each numerator counts its shapes 6
+    or 2 times over, for any row of ints, so a remainder means a wrong term
+    here: it raises IntegralityError naming the second jump and n.
     """
-    a = [0, *trees[:n]]
-
-    def at(f: list[int], g: list[int], d: int) -> int:
-        """[x^d] f * g."""
-        return sum(map(mul, f[: d + 1], reversed(g[: d + 1])))
-
-    recip = [1]  # 1 / (1 - A)
-    for d in range(1, n + 1):
-        recip.append(sum(map(mul, a[1 : d + 1], reversed(recip))))
-    square = [at(a, a, d) for d in range(n + 1)]
-    w = [at(square, recip, d) for d in range(n + 1)]
-    a2, w2 = ([0 if d % 2 else f[d // 2] for d in range(n + 1)] for f in (a, w))
+    a, aa, a2, _, _, r, r2 = series
     cases = (
-        (at(square, a, n) + 3 * at(a, a2, n) + 2 * (0 if n % 3 else a[n // 3]), 6),
-        (at(square, w, n) + w2[n] + at(a, w2, n), 2),
+        (_at(aa, a, n) + 3 * _at(a, a2, n) + 2 * (0 if n % 3 else a[n // 3]), 6),
+        (_at(aa, r, n) + r2[n] + _at(a, r2, n), 2),
     )
     where = f"second jump, degree {n}"
     return sum(IntegralityError.quotient(num, den, where) for num, den in cases)
 
 
-def _third_jump(trees: list[int], n: int) -> int:
-    """U_{n-4}[n] - U_{n-5}[n] for n >= 6, from ``trees``, the rooted trees
-    by edges (the C row of a k = 1 solve) through at least degree n - 1.
+def _third(series: Build, n: int) -> int:
+    """U_{n-4}[n] - U_{n-5}[n] for n >= 6, from ``series`` (:func:`_series`)
+    through at least degree n.
 
     The six cases a1-b3 of the proof in the module docstring, each
     multiplied through by its denominator (24, 2, 6, 8, 4 and 8), with
@@ -226,21 +284,17 @@ def _third_jump(trees: list[int], n: int) -> int:
     many times over, for any row of ints, so a remainder means a wrong term
     here: it raises IntegralityError naming the third jump and n.
     """
-    a = [0, *trees[:n]]
+    a, aa, a2, g, ag, r, r2 = series
     half = n // 2
 
     def times(f: list[int], g: list[int], low: int, top: int = n) -> list[int]:
-        """f * g through degree ``top``, which has no term below x^low."""
-        rev = g[top::-1]
-        return [0] * low + [sum(map(mul, f, rev[top - d :])) for d in range(low, top + 1)]
+        return _times(f, g, low, top)
 
     def at(f: list[int], g: list[int]) -> int:
-        """[x^n] f * g, for g through degree n."""
-        return sum(map(mul, f, g[n::-1]))
+        return _at(f, g, n)
 
     def sub(f: list[int], i: int) -> list[int]:
-        """f(x^i) through degree n."""
-        return [0 if d % i else f[d // i] for d in range(n + 1)]
+        return _sub(f, i, n)
 
     def plus(f: list[int], g: list[int], c: int = 1) -> list[int]:
         """f + c * g."""
@@ -250,17 +304,10 @@ def _third_jump(trees: list[int], n: int) -> int:
         """[x^n] f(x^i)."""
         return 0 if n % i else f[n // i]
 
-    g = [1]  # G = 1 / (1 - A)
-    for d in range(1, n + 1):
-        g.append(sum(map(mul, a[1 : d + 1], reversed(g))))
-    ag = [0, *g[1:]]  # A G = G - 1
-    aa = times(a, a, 2)
-    a2, aa2, ag2 = sub(a, 2), sub(aa, 2), sub(ag, 2)
-    r = times(a, ag, 2)  # R = A^2 G
+    aa2, ag2 = sub(aa, 2), sub(ag, 2)
     ar = times(a, r, 3)  # A^3 G
     rr = times(r, r, 4)
     arg = times(r, ag, 3)  # A^3 G^2
-    r2 = sub(r, 2)
     z = plus(aa, a2)  # 2 Z_2(A)
     # 2 Q = 2 R^2 + A G (2 Z_2(A G) - 2 Z_2(A)), with (A G)^2 = R + A^3 G^2.
     pairs = list(map(minus, plus(plus(r, arg), ag2), z))
@@ -305,22 +352,33 @@ def _third_jump(trees: list[int], n: int) -> int:
     return sum(IntegralityError.quotient(num, den, where) for num, den in cases)
 
 
+def _second_jump(trees: list[int], n: int) -> int:
+    """:func:`_second` at n, from ``trees``, the rooted trees by edges
+    (:func:`_rooted_trees`) through at least degree n - 1."""
+    return _second(_series(trees, n), n)
+
+
+def _third_jump(trees: list[int], n: int) -> int:
+    """:func:`_third` at n, from ``trees``, the rooted trees by edges
+    (:func:`_rooted_trees`) through at least degree n - 1."""
+    return _third(_series(trees, n), n)
+
+
 def _row(k: int, order: int, bundles: dict) -> list[int]:
     """Row k of U through ``order``, from ``bundles``, the solves through
-    ``order`` of (at least) the k in :func:`_solves`, each with a U and a C
-    row.
+    ``order`` of (at least) the k in :func:`_solves`, each with a U row.
 
     With base = max(order - 5, 1), a row k <= base is its own solve's U row.
     A row above it is U_base plus the jumps of each column n that lie
-    between base and k: the last jump U_1[n - 1] where base <= n - 3 < k,
-    the second jump where base <= n - 4 < k and the third where
-    base <= n - 5, the last two read off the k = 1 solve's C row.  As
-    order <= base + 5 and k > base, n - 5 < k always holds, and these are
-    all the jumps of column n above base.  So from order 6 on the third jump
-    is added at n = order alone and the second at n = order - 1 and, for
-    k >= order - 3, at n = order; every k >= order - 2 is the stable row,
-    which adds all the jumps of the columns n >= order - 2.  The bundles are
-    not changed.
+    between base and k: the last jump where base <= n - 3 < k, the second
+    jump where base <= n - 4 < k and the third where base <= n - 5, all
+    three read off one :func:`_series` of :func:`_rooted_trees` through
+    ``order``.  As order <= base + 5 and k > base, n - 5 < k always holds,
+    and these are all the jumps of column n above base.  So from order 6
+    on the third jump is added at n = order alone and the second at
+    n = order - 1 and, for k >= order - 3, at n = order; every
+    k >= order - 2 is the stable row, which adds all the jumps of the
+    columns n >= order - 2.  The bundles are not changed.
 
     >>> from ktrees.engine import count_ktrees
     >>> bundles = {k: count_ktrees(k, 7) for k in _solves(8, 7)}
@@ -330,12 +388,12 @@ def _row(k: int, order: int, bundles: dict) -> list[int]:
     base = max(order - 5, 1)
     if k <= base:
         return bundles[k].U
-    k1, row = bundles[1], bundles[base].U[:]
+    row, series = bundles[base].U[:], _series(_rooted_trees(order - 1), order)
     for n in range(base + 3, order + 1):
         if n - 3 < k:
-            row[n] += k1.U[n - 1]
+            row[n] += _last(series, n)
         if base <= n - 4 < k:
-            row[n] += _second_jump(k1.C, n)
+            row[n] += _second(series, n)
         if base <= n - 5:
-            row[n] += _third_jump(k1.C, n)
+            row[n] += _third(series, n)
     return row

@@ -137,15 +137,15 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    Each row k is _jumps._row of the solves _jumps._solves names for it,
-    and the stable row is the row k = N + 1.  Up to k = max(N - 5, 1) a
+    Each row k is _jumps._row of the one solve _jumps._solves names for
+    it, and the stable row is the row k = N + 1.  Up to k = max(N - 5, 1) a
     row is its own solve; every row above it, the stable row included, is
-    built from the solves at that k and at k = 1 by U's last, second and
-    third jumps.  So no row solves above k = N - 5, and a large k enumerates
-    nothing.  The distinct solves pass the work budget before the first of
-    them runs, and each runs once.  A row past k = N + 1 is the stable row
-    (no column n <= N changes there), so each distinct row is built once,
-    however many k a table asks for.
+    built from the solve at that k by U's last, second and third jumps,
+    read off the rooted trees.  So no row solves above k = N - 5, and a
+    large k enumerates nothing.  The distinct solves pass the work budget
+    before the first of them runs, and each runs once.  A row past
+    k = N + 1 is the stable row (no column n <= N changes there), so each
+    distinct row is built once, however many k a table asks for.
     """
     wanted = [(k, min(k, order + 1)) for k in ks] + ([("stable", order + 1)] if stable else [])
     solves = sorted({s for _, k in wanted for s in _solves(k, order)})
@@ -194,8 +194,8 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    # The stable row, row k = 10, reads the k = 1 and k = 4 solves of the
-    # rows above.
+    # The stable row, row k = 10, reads the k = 4 solve of the rows above
+    # and the rooted trees.
     bundles = {k: count_ktrees(k, 9) for k in REFERENCE_COUNTS}
     rows = [(f"row k={k}", bundles[k].U, row) for k, row in REFERENCE_COUNTS.items()]
     rows.append(("stable row", _row(10, 9, bundles), STABLE_ROW))

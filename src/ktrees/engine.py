@@ -530,12 +530,13 @@ def stable_counts(order: int) -> list[int]:
     U_{n-4}[n] - U_{n-5}[n], series in the rooted trees by nodes.  The
     proofs, by the universal vertex and the paper's coloring, are in
     :mod:`ktrees._jumps`.  So the row through ``order`` is the row
-    k = order + 1 that :func:`ktrees._jumps._row` builds from two solves, at
-    base = max(order - 5, 1) and at k = 1: U_base plus the jumps between.
-    From order 6 on, U_base lies in the stable range of every n <= order - 3,
-    and the stable row adds the last jump at n = order - 2, the last two at
-    n = order - 1 and all three at n = order.  A solve is exact at each
-    degree up to its order, so either way its whole row is the tail.
+    k = order + 1 that :func:`ktrees._jumps._row` builds from one solve, at
+    base = max(order - 5, 1): U_base plus the jumps between, read off the
+    rooted trees.  From order 6 on, U_base lies in the stable range of every
+    n <= order - 3, and the stable row adds the last jump at n = order - 2,
+    the last two at n = order - 1 and all three at n = order.  A solve is
+    exact at each degree up to its order, so either way its whole row is
+    the tail.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

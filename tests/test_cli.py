@@ -168,17 +168,18 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, solves",
     [
-        (("count", "--k", "40", "--terms", "8"), [(1, 7), (2, 7)]),
-        (("count", "--k", "6", "--terms", "10"), [(1, 9), (4, 9)]),
+        (("count", "--k", "40", "--terms", "8"), [(2, 7)]),
+        (("count", "--k", "6", "--terms", "10"), [(4, 9)]),
         (("count", "--k", "5", "--terms", "81"), [(5, 80)]),
         (("table", "--max-k", "8", "--max-n", "9", "--stable"), [(k, 9) for k in range(1, 5)]),
-        (("stable", "--terms", "17"), [(1, 16), (11, 16)]),
+        (("stable", "--terms", "17"), [(11, 16)]),
         (("stable", "--terms", "4"), [(1, 3)]),
     ],
 )
 def test_the_stable_row_is_solved_one_k_below_the_stable_range(capsys, monkeypatch, argv, solves):
     # Every row above k = N-5, the stable row too, is U_{N-5} plus the jumps
-    # read off the k = 1 solve: no row solves at k = N-4 or above.
+    # read off the rooted trees: no row solves at k = N-4 or above, and none
+    # solves a second k.
     calls = []
 
     def recording(k, order):
@@ -595,8 +596,8 @@ def test_work_budget_edge():
 
 
 def test_the_stable_row_budget_edge():
-    # stable --terms 36 solves (1, 35) and (30, 35) and fits; --terms 37
-    # would solve (31, 36) and is refused.  Nothing is solved here.
+    # stable --terms 36 solves (30, 35) alone and fits; --terms 37 would
+    # solve (31, 36) and is refused.  Nothing is solved here.
     cli._check_budget(_jumps._solves(36, 35), 35)
     with pytest.raises(cli._QueryTooLarge):
         cli._check_budget(_jumps._solves(37, 36), 36)

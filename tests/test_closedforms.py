@@ -240,7 +240,7 @@ def test_closedforms_imports_nothing_from_the_engine_or_partitions():
 
 
 def test_the_engine_imports_nothing_from_the_closed_forms():
-    # Its jumps are their own route, from its k = 1 solve.
+    # Its jumps are their own route, from their own rooted-tree recurrence.
     imported = _imports(engine)
     assert "closedforms" not in {part for name in imported for part in name.split(".")}
 

@@ -292,7 +292,7 @@ def test_stable_counts_matches_per_n_definition():
 
 
 def test_stable_counts_equal_the_row_solved_in_the_stable_range():
-    # stable_counts takes both jumps from the k = 1 solve instead.
+    # stable_counts reads every jump off the rooted trees instead.
     for order in range(19):
         assert stable_counts(order) == count_ktrees(max(order - 2, 1), order).U, order
 
@@ -306,7 +306,7 @@ def test_stable_counts_solve_one_k_below_the_stable_range(monkeypatch):
 
     monkeypatch.setattr(engine, "count_ktrees", recording)
     stable_counts(16)
-    assert sorted(calls) == [(1, 16), (11, 16)]
+    assert calls == [(11, 16)]
 
 
 def test_stable_range_starts_exactly_at_n_minus_2():
@@ -346,13 +346,16 @@ def test_black_rooted_stability_and_last_jump():
 
 def test_every_row_built_from_its_solves_is_the_row_solved_directly():
     # A row up to base = max(N-5, 1) is its own solve; every row above it,
-    # through the stable row k = N+1 and one past it, is U_base plus the
-    # jumps between, read off the k = 1 solve.
-    for order in range(15):
-        solved = {k: count_ktrees(k, order) for k in range(1, order + 3)}
+    # through the stable row k = N+1 and two past it, is U_base plus the
+    # jumps between, read off the rooted trees.  Each row gets the one solve
+    # _solves names, so a row that read a second one would raise KeyError.
+    # About 2 s, most of it the direct solves at k > N - 2 for N >= 17.
+    for order in range(21):
+        solved = {k: count_ktrees(k, order) for k in range(1, order + 4)}
         for k in solved:
-            bundles = {s: solved[s] for s in _jumps._solves(k, order)}
-            assert _jumps._row(k, order, bundles) == solved[k].U, (k, order)
+            (s,) = _jumps._solves(k, order)
+            assert s == min(k, max(order - 5, 1)), (k, order)
+            assert _jumps._row(k, order, {s: solved[s]}) == solved[k].U, (k, order)
     # The reference suite's stable row reads only the rows it solves.
     assert set(_jumps._solves(10, 9)) <= set(REFERENCE_COUNTS)
 
@@ -362,7 +365,7 @@ def test_a_second_jump_remainder_names_the_degree(monkeypatch):
     # product leaves a remainder: here each term of a product is one over.
     trees = count_ktrees(1, 12).C
     monkeypatch.setattr(_jumps, "mul", lambda x, y: x * y + 1)
-    with pytest.raises(IntegralityError, match=r"^second jump, degree 5: 37/3 is not an integer$"):
+    with pytest.raises(IntegralityError, match=r"^second jump, degree 5: 19/2 is not an integer$"):
         _jumps._second_jump(trees, 5)
 
 

@@ -37,6 +37,30 @@ def test_a_third_jump_remainder_names_the_degree(monkeypatch):
         _jumps._third_jump(trees, 6)
 
 
+def test_rooted_trees_agree_on_three_routes_through_200():
+    # The jumps' own recurrence, the closed forms' fixed point and the
+    # engine's k = 1 solve, whose C row is the rooted trees by edges.
+    trees = _jumps._rooted_trees(200)
+    assert trees == rooted_trees(200) == count_ktrees(1, 200).C
+    assert trees[:7] == [1, 1, 2, 4, 9, 20, 48]
+
+
+def test_a_rooted_trees_remainder_names_the_degree(monkeypatch):
+    # Each divisor-sum weight and each term of the convolution one over.
+    monkeypatch.setattr(_jumps, "mul", lambda x, y: x * y + 1)
+    with pytest.raises(IntegralityError, match=r"^rooted trees, degree 2: 17/2 is not an integer$"):
+        _jumps._rooted_trees(12)
+
+
+def test_otters_last_jump_is_the_tree_count_through_40():
+    # U_{n-2}[n] - U_{n-3}[n] = U_1[n - 1], the trees on n nodes, read off
+    # the rooted trees by Otter's dissymmetry.
+    series = _jumps._series(_jumps._rooted_trees(39), 40)
+    u1 = count_ktrees(1, 39).U
+    assert [_jumps._last(series, n) for n in range(4, 41)] == u1[3:40]
+    assert [_jumps._last(series, n) for n in range(4, 9)] == [2, 3, 6, 11, 23]
+
+
 # ------------------------------------------------ the six cases, two ways
 
 ORDER = 9
