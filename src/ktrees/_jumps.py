@@ -2,7 +2,8 @@
 
 Rows at or above k = max(N - 5, 1) of U through N are built from one
 solve, at base = max(N - 5, 1) (:func:`_solves`), by adding to U_base the
-jumps U_j[n] - U_{j-1}[n] that lie between base and k (:func:`_row`).
+jumps U_j[n] - U_{j-1}[n] that lie between base and k; :func:`_rows`
+builds all the rows of one order from one table of those jumps.
 Three jumps are proven below, and each column n <= N has only those three
 between base and the stable range.  All three are series in the rooted
 trees, which :func:`_rooted_trees` counts by their own recurrence, so a
@@ -172,16 +173,19 @@ from .series import IntegralityError
 Build = tuple[list[int], ...]
 
 
-def _solves(k: int, order: int) -> list[int]:
-    """The k whose solve through ``order`` :func:`_row` reads for row k.
+def _solves(ks: list[int], order: int) -> list[int]:
+    """The sorted distinct k whose solves through ``order`` :func:`_rows`
+    reads for the rows ``ks``.
 
-    Up to base = max(order - 5, 1) that is k itself; above it, it is base:
-    each such row is the solve at base plus the jumps between.
+    Each row k reads one solve, at min(k, base) with base = max(order - 5, 1):
+    up to base a row is its own solve, and above it a row is the solve at
+    base plus the jumps between.
 
-    >>> [_solves(k, 10) for k in (4, 5, 6, 11)], _solves(3, 6)
-    ([[4], [5], [5], [5]], [1])
+    >>> _solves([4, 5, 6, 11], 10), _solves([3, 40], 6)
+    ([4, 5], [1])
     """
-    return [min(k, max(order - 5, 1))]
+    base = max(order - 5, 1)
+    return sorted({min(k, base) for k in ks})
 
 
 def _rooted_trees(order: int) -> list[int]:
@@ -229,7 +233,7 @@ def _series(trees: list[int], top: int) -> Build:
     """The series every jump reads, each a row of ints through degree
     ``top``, from ``trees``, the rooted trees by edges through at least
     degree top - 1: A = x * trees, A^2, A_2, G = 1 / (1 - A), A G = G - 1,
-    R = A^2 G and R_2, in that order.  :func:`_row` builds them once."""
+    R = A^2 G and R_2, in that order.  :func:`_rows` builds them once."""
     a = [0, *trees[:top]]
     g = [1]
     for d in range(1, top + 1):
@@ -352,48 +356,38 @@ def _third(series: Build, n: int) -> int:
     return sum(IntegralityError.quotient(num, den, where) for num, den in cases)
 
 
-def _second_jump(trees: list[int], n: int) -> int:
-    """:func:`_second` at n, from ``trees``, the rooted trees by edges
-    (:func:`_rooted_trees`) through at least degree n - 1."""
-    return _second(_series(trees, n), n)
-
-
-def _third_jump(trees: list[int], n: int) -> int:
-    """:func:`_third` at n, from ``trees``, the rooted trees by edges
-    (:func:`_rooted_trees`) through at least degree n - 1."""
-    return _third(_series(trees, n), n)
-
-
-def _row(k: int, order: int, bundles: dict) -> list[int]:
-    """Row k of U through ``order``, from ``bundles``, the solves through
-    ``order`` of (at least) the k in :func:`_solves`, each with a U row.
+def _rows(ks: list[int], order: int, solved: dict[int, list[int]]) -> list[list[int]]:
+    """The rows k in ``ks`` of U through ``order``, from ``solved``, which
+    maps each k in :func:`_solves` of ``ks`` to its solve's U row.
 
     With base = max(order - 5, 1), a row k <= base is its own solve's U row.
-    A row above it is U_base plus the jumps of each column n that lie
-    between base and k: the last jump where base <= n - 3 < k, the second
-    jump where base <= n - 4 < k and the third where base <= n - 5, all
-    three read off one :func:`_series` of :func:`_rooted_trees` through
-    ``order``.  As order <= base + 5 and k > base, n - 5 < k always holds,
-    and these are all the jumps of column n above base.  So from order 6
-    on the third jump is added at n = order alone and the second at
-    n = order - 1 and, for k >= order - 3, at n = order; every
-    k >= order - 2 is the stable row, which adds all the jumps of the
-    columns n >= order - 2.  The bundles are not changed.
+    A row above it is U_base plus the jumps U_j[n] - U_{j-1}[n] of each
+    column n with base < j <= k: the last jump at j = n - 2, the second at
+    j = n - 3 and the third at j = n - 4.  As order <= base + 5, these are
+    all the jumps of column n above base.  So from order 6 on the third
+    jump is added at n = order alone and the second at n = order - 1 and,
+    for k >= order - 3, at n = order; every k >= order - 2 is the stable
+    row, which adds all the jumps of the columns n >= order - 2.  When some
+    k is above base, one :func:`_series` of :func:`_rooted_trees` through
+    ``order`` is built and each jump a row needs is read off it once, for
+    all the rows; otherwise nothing is built.  ``solved`` is not changed.
 
     >>> from ktrees.engine import count_ktrees
-    >>> bundles = {k: count_ktrees(k, 7) for k in _solves(8, 7)}
-    >>> _row(2, 7, bundles), _row(3, 7, bundles), _row(8, 7, bundles)
-    ([1, 1, 1, 2, 5, 12, 39, 136], [1, 1, 1, 2, 5, 15, 58, 275], [1, 1, 1, 2, 5, 15, 64, 342])
+    >>> solved = {k: count_ktrees(k, 7).U for k in _solves([2, 3, 8], 7)}
+    >>> _rows([2, 3, 8], 7, solved)
+    [[1, 1, 1, 2, 5, 12, 39, 136], [1, 1, 1, 2, 5, 15, 58, 275], [1, 1, 1, 2, 5, 15, 64, 342]]
     """
-    base = max(order - 5, 1)
-    if k <= base:
-        return bundles[k].U
-    row, series = bundles[base].U[:], _series(_rooted_trees(order - 1), order)
-    for n in range(base + 3, order + 1):
-        if n - 3 < k:
-            row[n] += _last(series, n)
-        if base <= n - 4 < k:
-            row[n] += _second(series, n)
-        if base <= n - 5:
-            row[n] += _third(series, n)
-    return row
+    base, top = max(order - 5, 1), max(ks, default=1)
+    if top <= base:
+        return [solved[k] for k in ks]
+    series = _series(_rooted_trees(order - 1), order)
+    table = [
+        [(j, jump(series, n)) for j, jump in ((n - 2, _last), (n - 3, _second), (n - 4, _third))
+         if base < j <= top]
+        for n in range(order + 1)
+    ]
+    return [
+        solved[k] if k <= base
+        else [u + sum(d for j, d in column if j <= k) for u, column in zip(solved[base], table)]
+        for k in ks
+    ]

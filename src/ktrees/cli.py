@@ -32,7 +32,7 @@ from math import factorial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from ._jumps import _row, _solves
+from . import _jumps
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
 from .engine import _count_from, count_ktrees, solve_system
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
@@ -137,22 +137,20 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    Each row k is _jumps._row of the one solve _jumps._solves names for
-    it, and the stable row is the row k = N + 1.  Up to k = max(N - 5, 1) a
-    row is its own solve; every row above it, the stable row included, is
-    built from the solve at that k by U's last, second and third jumps,
-    read off the rooted trees.  So no row solves above k = N - 5, and a
-    large k enumerates nothing.  The distinct solves pass the work budget
-    before the first of them runs, and each runs once.  A row past
-    k = N + 1 is the stable row (no column n <= N changes there), so each
-    distinct row is built once, however many k a table asks for.
+    The stable row is the row k = N + 1, and all the rows come from one
+    _jumps._rows call on the solves _jumps._solves names.  Up to
+    k = max(N - 5, 1) a row is its own solve; every row above it, the
+    stable row included, is built from the solve at that k by U's last,
+    second and third jumps, read off the rooted trees, which are counted
+    once for all those rows.  So no row solves above k = N - 5, and a large
+    k enumerates nothing.  The distinct solves pass the work budget before
+    the first of them runs, and each runs once.
     """
-    wanted = [(k, min(k, order + 1)) for k in ks] + ([("stable", order + 1)] if stable else [])
-    solves = sorted({s for _, k in wanted for s in _solves(k, order)})
+    wanted = [*ks, *([order + 1] if stable else [])]
+    solves = _jumps._solves(wanted, order)
     _check_budget(solves, order)
-    bundles = {k: count_ktrees(k, order) for k in solves}
-    rows = {k: _row(k, order, bundles) for k in {k for _, k in wanted}}
-    return [(label, rows[k]) for label, k in wanted]
+    solved = {k: count_ktrees(k, order).U for k in solves}
+    return list(zip([*ks, *(["stable"] if stable else [])], _jumps._rows(wanted, order, solved)))
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
@@ -194,11 +192,11 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    # The stable row, row k = 10, reads the k = 4 solve of the rows above
-    # and the rooted trees.
-    bundles = {k: count_ktrees(k, 9) for k in REFERENCE_COUNTS}
-    rows = [(f"row k={k}", bundles[k].U, row) for k, row in REFERENCE_COUNTS.items()]
-    rows.append(("stable row", _row(10, 9, bundles), STABLE_ROW))
+    # Each row k is its own solve, and the stable row, row k = 10, is
+    # _jumps._rows of the k = 4 solve among them and the rooted trees.
+    solved = {k: count_ktrees(k, 9).U for k in REFERENCE_COUNTS}
+    rows = [(f"row k={k}", solved[k], row) for k, row in REFERENCE_COUNTS.items()]
+    rows.append(("stable row", *_jumps._rows([10], 9, solved), STABLE_ROW))
     matches = [sum(a == b for a, b in zip(got, expected)) for _, got, expected in rows]
     checks = [
         _check(f"reference: {name} matches embedded table ({m}/10 cells)",

@@ -88,7 +88,7 @@ from operator import add, floordiv, itemgetter, mod, mul
 from types import SimpleNamespace
 from typing import Iterable
 
-from ._jumps import _row, _solves
+from ._jumps import _rows, _solves
 from .partitions import Partition, cycle_power, partitions_of, permutation_count
 from .series import IntegralityError, Series
 
@@ -530,7 +530,7 @@ def stable_counts(order: int) -> list[int]:
     U_{n-4}[n] - U_{n-5}[n], series in the rooted trees by nodes.  The
     proofs, by the universal vertex and the paper's coloring, are in
     :mod:`ktrees._jumps`.  So the row through ``order`` is the row
-    k = order + 1 that :func:`ktrees._jumps._row` builds from one solve, at
+    k = order + 1 that :func:`ktrees._jumps._rows` builds from one solve, at
     base = max(order - 5, 1): U_base plus the jumps between, read off the
     rooted trees.  From order 6 on, U_base lies in the stable range of every
     n <= order - 3, and the stable row adds the last jump at n = order - 2,
@@ -540,4 +540,5 @@ def stable_counts(order: int) -> list[int]:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return _row(order + 1, order, {k: count_ktrees(k, order) for k in _solves(order + 1, order)})
+    ks = [order + 1]
+    return _rows(ks, order, {k: count_ktrees(k, order).U for k in _solves(ks, order)})[0]

@@ -140,19 +140,27 @@ def test_output_is_byte_identical_to_pinned_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _counting_jump_builds(monkeypatch):
+    """Count the calls of the two builders every row above base reads."""
+    built = dict.fromkeys(["_rooted_trees", "_series"], 0)
+    for name in built:
+        def counting(*args, name=name, build=getattr(_jumps, name)):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(_jumps, name, counting)
+    return built
+
+
 def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
-    calls, built = [], []
+    calls = []
 
     def recording(k, order):
         calls.append(k)
         return count_ktrees(k, order)
 
-    def building(k, order, bundles):
-        built.append(k)
-        return _jumps._row(k, order, bundles)
-
     monkeypatch.setattr(cli, "count_ktrees", recording)
-    monkeypatch.setattr(cli, "_row", building)
+    built = _counting_jump_builds(monkeypatch)
     code, out, _ = run_cli(
         capsys, "table", "--max-k", "30", "--max-n", "6", "--stable", "--format", "csv"
     )
@@ -161,8 +169,25 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
     assert rows[:3] == [cli.REFERENCE_COUNTS[k][:7] for k in range(1, 4)]
     assert rows[3:] == [cli.STABLE_ROW[:7]] * 28  # k = 4..30 and the stable row
     assert calls == [1]
-    # Every k past N + 1 = 7 prints the stable row, built once as row 7.
-    assert sorted(built) == list(range(1, 8))
+    # Every row above base = 1, k = 2..30 and the stable row, reads the
+    # rooted trees and their series built once.
+    assert built == {"_rooted_trees": 1, "_series": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (("table", "--max-k", "30", "--max-n", "16", "--stable"), 1),
+        (("count", "--k", "5", "--terms", "81"), 0),
+    ],
+)
+def test_all_rows_of_a_command_read_one_jump_build(capsys, monkeypatch, argv, builds):
+    # The table's 20 rows above base = 11 share one build of the rooted
+    # trees and their series; a row at or below base is its solve alone.
+    built = _counting_jump_builds(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built == {"_rooted_trees": builds, "_series": builds}
 
 
 @pytest.mark.parametrize(
@@ -598,9 +623,9 @@ def test_work_budget_edge():
 def test_the_stable_row_budget_edge():
     # stable --terms 36 solves (30, 35) alone and fits; --terms 37 would
     # solve (31, 36) and is refused.  Nothing is solved here.
-    cli._check_budget(_jumps._solves(36, 35), 35)
+    cli._check_budget(_jumps._solves([36], 35), 35)
     with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget(_jumps._solves(37, 36), 36)
+        cli._check_budget(_jumps._solves([37], 36), 36)
 
 
 def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():

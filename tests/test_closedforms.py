@@ -135,9 +135,9 @@ def test_second_jump_equals_the_engine_through_20():
         assert u[n - 3][n] - u[n - 4][n] == jump[n], n
 
 
-def test_the_engine_reads_the_same_second_jump_off_its_k1_solve():
-    trees = count_ktrees(1, 30).C
-    assert [_jumps._second_jump(trees, n) for n in range(5, 31)] == second_jump(30)[5:]
+def test_the_rows_read_the_same_second_jump_off_the_rooted_trees():
+    series = _jumps._series(_jumps._rooted_trees(29), 30)
+    assert [_jumps._second(series, n) for n in range(5, 31)] == second_jump(30)[5:]
 
 
 def test_a_second_jump_remainder_names_the_degree(monkeypatch):

@@ -347,17 +347,21 @@ def test_black_rooted_stability_and_last_jump():
 def test_every_row_built_from_its_solves_is_the_row_solved_directly():
     # A row up to base = max(N-5, 1) is its own solve; every row above it,
     # through the stable row k = N+1 and two past it, is U_base plus the
-    # jumps between, read off the rooted trees.  Each row gets the one solve
-    # _solves names, so a row that read a second one would raise KeyError.
+    # jumps between, read off the rooted trees.  All the rows of an order
+    # are built in one call that gets only the solves _solves names, so a
+    # row that read any other would raise KeyError.
     # About 2 s, most of it the direct solves at k > N - 2 for N >= 17.
     for order in range(21):
-        solved = {k: count_ktrees(k, order) for k in range(1, order + 4)}
-        for k in solved:
-            (s,) = _jumps._solves(k, order)
-            assert s == min(k, max(order - 5, 1)), (k, order)
-            assert _jumps._row(k, order, {s: solved[s]}) == solved[k].U, (k, order)
+        base = max(order - 5, 1)
+        solved = {k: count_ktrees(k, order).U for k in range(1, order + 4)}
+        ks = list(solved)
+        assert [_jumps._solves([k], order) for k in ks] == [[min(k, base)] for k in ks], order
+        solves = _jumps._solves(ks, order)
+        assert solves == list(range(1, base + 1)), order
+        rows = _jumps._rows(ks, order, {s: solved[s] for s in solves})
+        assert rows == [solved[k] for k in ks], order
     # The reference suite's stable row reads only the rows it solves.
-    assert set(_jumps._solves(10, 9)) <= set(REFERENCE_COUNTS)
+    assert set(_jumps._solves([10], 9)) <= set(REFERENCE_COUNTS)
 
 
 def test_a_second_jump_remainder_names_the_degree(monkeypatch):
@@ -366,7 +370,7 @@ def test_a_second_jump_remainder_names_the_degree(monkeypatch):
     trees = count_ktrees(1, 12).C
     monkeypatch.setattr(_jumps, "mul", lambda x, y: x * y + 1)
     with pytest.raises(IntegralityError, match=r"^second jump, degree 5: 19/2 is not an integer$"):
-        _jumps._second_jump(trees, 5)
+        _jumps._second(_jumps._series(trees, 5), 5)
 
 
 def test_stable_counts_trivial():

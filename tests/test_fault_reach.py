@@ -138,7 +138,7 @@ def test_the_third_jump_catches_the_c42_bump_at_n_10_alone(monkeypatch):
     _bump("c", (4, 2), 10, 8)(monkeypatch)
     solved = {k: engine.count_ktrees(k, 20) for k in range(1, 17)}
     u, trees = {k: bundle.U for k, bundle in solved.items()}, solved[1].C
-    jumps = {n: _jumps._third_jump(trees, n) for n in range(6, 21)}
+    jumps = {n: _jumps._third(_jumps._series(trees, n), n) for n in range(6, 21)}
     assert [n for n in range(6, 21) if u[n - 4][n] - u[n - 5][n] != jumps[n]] == [10]
 
 

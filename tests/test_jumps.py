@@ -22,7 +22,7 @@ def test_third_jump_equals_the_engine_through_20():
     # U_k[n] for every n <= 20.
     solved = {k: count_ktrees(k, 20) for k in range(1, 17)}
     u, trees = {k: bundle.U for k, bundle in solved.items()}, solved[1].C
-    jumps = [_jumps._third_jump(trees, n) for n in range(6, 21)]
+    jumps = [_jumps._third(_jumps._series(trees, n), n) for n in range(6, 21)]
     assert all(type(j) is int for j in jumps)
     assert jumps == [u[n - 4][n] - u[n - 5][n] for n in range(6, 21)]
     assert jumps[:5] == [28, 139, 645, 2761, 11275]
@@ -34,7 +34,7 @@ def test_a_third_jump_remainder_names_the_degree(monkeypatch):
     trees = count_ktrees(1, 12).C
     monkeypatch.setattr(_jumps, "mul", lambda x, y: x * y + 1)
     with pytest.raises(IntegralityError, match=r"^third jump, degree 6: 113/8 is not an integer$"):
-        _jumps._third_jump(trees, 6)
+        _jumps._third(_jumps._series(trees, 6), 6)
 
 
 def test_rooted_trees_agree_on_three_routes_through_200():
@@ -69,7 +69,7 @@ ORDER = 9
 def _cases(order):
     """The cases a1-b3 through ``order``, written as the module docstring
     of ``ktrees._jumps`` writes them, in the tests' rational series algebra:
-    a second route to the integer rows that ``_third_jump`` sums."""
+    a second route to the integer rows that ``_third`` sums."""
 
     def times(*fs):
         return reduce(mul, fs)
@@ -220,7 +220,8 @@ def test_each_case_of_the_third_jump_counts_its_shapes():
     trees = count_ktrees(1, ORDER).C
     for n in range(6, ORDER + 1):
         assert _brute_force(n) == {case: row[n] for case, row in cases.items()}, n
-        assert sum(row[n] for row in cases.values()) == _jumps._third_jump(trees, n), n
+        jump = _jumps._third(_jumps._series(trees, n), n)
+        assert sum(row[n] for row in cases.values()) == jump, n
     assert [cases["b3"][n] for n in range(6, 10)] == [9, 56, 307, 1465]
 
 
@@ -228,7 +229,7 @@ def test_each_case_of_the_third_jump_counts_its_shapes():
 
 def _second_cases(order):
     """The second jump's two cases through ``order``, as the docstring of
-    ``ktrees._jumps._second_jump`` writes them, in the tests' rational
+    ``ktrees._jumps._second`` writes them, in the tests' rational
     series algebra: one front in three hedra, Z_3(A), and two fronts of one
     color on no common hedron, (A^4 G + A_2^2 (1 + A) G_2) / 2."""
     a = Series(order, [0, *rooted_trees(order - 1)])
@@ -271,6 +272,7 @@ def test_each_case_of_the_second_jump_counts_its_shapes():
     trees = count_ktrees(1, 10).C
     for n in range(5, 11):
         assert _second_brute_force(n) == {case: row[n] for case, row in cases.items()}, n
-        assert sum(row[n] for row in cases.values()) == _jumps._second_jump(trees, n), n
+        jump = _jumps._second(_jumps._series(trees, n), n)
+        assert sum(row[n] for row in cases.values()) == jump, n
     assert [cases["one front"][n] for n in range(5, 11)] == [3, 7, 18, 44, 117, 299]
     assert [cases["two fronts"][n] for n in range(5, 11)] == [3, 12, 38, 127, 395, 1237]
