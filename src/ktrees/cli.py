@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import pairwise, permutations, zip_longest
+from itertools import permutations, zip_longest
 from math import factorial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from . import _jumps
 from .closedforms import fourtree_U, otter_U, threetree_U, twotree_U, twotree_rooted_series
-from .engine import _count_from, count_ktrees, solve_system
+from .engine import _count_from, _QueryTooLarge, _u_rows, count_ktrees, solve_system, stable_counts
 from .oracle import MAX_K, MAX_N, fixed_count, orbit_count
-from .partitions import partition_numbers
 from .series import IntegralityError
 
 # Reference values: number of k-trees with n hedra, k = 1..5 and n = 0..9,
@@ -50,49 +48,10 @@ REFERENCE_COUNTS: dict[int, list[int]] = {
 }
 STABLE_ROW: list[int] = [1, 1, 1, 2, 5, 15, 64, 342, 2344, 19137]
 
-# Largest work estimate, summed over a query's solves, that count, table
-# and stable accept.  A solve at (k, N) grows its p(k+1) + 2 * p(k) series
-# (every B_lam, Bbar_mu and C_mu) by one exponential step per degree, about
-# (p(k+1) + 2 * p(k)) * N^2 integer multiply-adds.  Its coefficients stay
-# under N * (k.bit_length() + 1) bits, and a multiply-add costs more as they
-# grow, so the estimate weighs each by f = 1 + bits / 4096.  On a 2-core
-# host with Python 3.11, solves on the budget's edge took 3-9 s (medians of
-# three fresh processes, one session): (1, 1958) 6.1 s, (2, 1443) 7.5 s,
-# (3, 1203) 8.5 s, (5, 816) 4.7 s and (12, 294) 3.2 s.  (30, 31) costs
-# 1.8 * 10^7 and took 1.7 s (median of nine, measured separately).
-WORK_BUDGET = 3 * 10**7
-
 # One verification check: (name, passed, detail-for-failures)
 Check = tuple[str, bool, str]
 # One printed row of counts: (k, or "stable", its U coefficients)
 Row = tuple[int | str, list[int]]
-
-
-class _QueryTooLarge(Exception):
-    """A query whose work estimate exceeds WORK_BUDGET (exit code 2)."""
-
-
-def _check_budget(ks: list[int], order: int) -> None:
-    """Refuse, before any solve, the distinct solves of ``ks`` at ``order``
-    if their summed (p(k+1) + 2 * p(k)) * order^2 * f exceeds WORK_BUDGET.
-
-    One scan over k = 0, 1, ... adds each solve's estimate as it passes it
-    and stops at max(ks).  The estimate only grows with k, so the scan
-    refuses as soon as the running sum or the current k's estimate is over:
-    every later solve costs at least as much.  A query with a large k is
-    refused long before the scan reaches it.
-    """
-    top, work = max(ks), 0.0
-    for m, (p, p_next) in enumerate(pairwise(partition_numbers())):
-        unit = (p_next + 2 * p) * order * order * (1 + order * (m.bit_length() + 1) / 4096)
-        work += unit if m in ks else 0
-        if max(work, unit) > WORK_BUDGET:
-            raise _QueryTooLarge(
-                "query refused: its work estimate (p(k+1)+2p(k))*N^2*f"
-                f" (N = {order}, k up to {top}) exceeds the budget of {WORK_BUDGET}"
-            )
-        if m == top:
-            return
 
 
 # ---------------------------------------------------------------- output
@@ -137,20 +96,12 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
     """The U rows through ``order``: one per k in ``ks``, labelled k, then
     the stable row, labelled "stable", if ``stable`` is set.
 
-    The stable row is the row k = N + 1, and all the rows come from one
-    _jumps._rows call on the solves _jumps._solves names.  Up to
-    k = max(N - 5, 1) a row is its own solve; every row above it, the
-    stable row included, is built from the solve at that k by U's last,
-    second and third jumps, read off the rooted trees, which are counted
-    once for all those rows.  So no row solves above k = N - 5, and a large
-    k enumerates nothing.  The distinct solves pass the work budget before
-    the first of them runs, and each runs once.
+    The stable row is the row k = N + 1, and every row comes from one
+    engine._u_rows call, which refuses the query before any solve if its
+    solves are over the work budget.
     """
     wanted = [*ks, *([order + 1] if stable else [])]
-    solves = _jumps._solves(wanted, order)
-    _check_budget(solves, order)
-    solved = {k: count_ktrees(k, order).U for k in solves}
-    return list(zip([*ks, *(["stable"] if stable else [])], _jumps._rows(wanted, order, solved)))
+    return list(zip([*ks, *(["stable"] if stable else [])], _u_rows(wanted, order)))
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
@@ -192,11 +143,8 @@ def _mismatches(a: Sequence, b: Sequence) -> list[int]:
 
 
 def _verify_reference() -> list[Check]:
-    # Each row k is its own solve, and the stable row, row k = 10, is
-    # _jumps._rows of the k = 4 solve among them and the rooted trees.
-    solved = {k: count_ktrees(k, 9).U for k in REFERENCE_COUNTS}
-    rows = [(f"row k={k}", solved[k], row) for k, row in REFERENCE_COUNTS.items()]
-    rows.append(("stable row", *_jumps._rows([10], 9, solved), STABLE_ROW))
+    rows = [(f"row k={k}", count_ktrees(k, 9).U, row) for k, row in REFERENCE_COUNTS.items()]
+    rows.append(("stable row", stable_counts(9), STABLE_ROW))
     matches = [sum(a == b for a, b in zip(got, expected)) for _, got, expected in rows]
     checks = [
         _check(f"reference: {name} matches embedded table ({m}/10 cells)",

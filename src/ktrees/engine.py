@@ -82,14 +82,14 @@ a value type with no arithmetic, appears only in the ``c_table`` /
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, pairwise, repeat
 from math import lcm
 from operator import add, floordiv, itemgetter, mod, mul
 from types import SimpleNamespace
 from typing import Iterable
 
 from ._jumps import _rows, _solves
-from .partitions import Partition, cycle_power, partitions_of, permutation_count
+from .partitions import Partition, cycle_power, partition_numbers, partitions_of, permutation_count
 from .series import IntegralityError, Series
 
 
@@ -248,6 +248,51 @@ def _euler_steps(
     return None
 
 
+# Largest work estimate, summed over the distinct solves of a query, that
+# the engine accepts: solve_system checks its one solve, and _u_rows the
+# solves of all its rows, before any of them runs.  A solve at (k, N) grows
+# its p(k+1) + 2 * p(k) series (every B_lam, Bbar_mu and C_mu) by one
+# exponential step per degree, about (p(k+1) + 2 * p(k)) * N^2 integer
+# multiply-adds.  Its coefficients stay under N * (k.bit_length() + 1) bits,
+# and a multiply-add costs more as they grow, so the estimate weighs each by
+# f = 1 + bits / 4096.  On a 2-core host with Python 3.11, solves on the
+# budget's edge took 3-9 s (medians of three fresh processes, one session):
+# (1, 1958) 6.1 s, (2, 1443) 7.5 s, (3, 1203) 8.5 s, (5, 816) 4.7 s and
+# (12, 294) 3.2 s.  (30, 31) costs 1.8 * 10^7 and took 1.7 s (median of
+# nine, measured separately).  So the model is flat across k only within a
+# factor of about 2.5: timed in-process one after another on the same host,
+# the same solves took 6.9, 10.8, 9.3, 7.3 and 4.3 s, and (30, 31) 4.0 s.
+WORK_BUDGET = 3 * 10**7
+
+
+class _QueryTooLarge(ValueError):
+    """A query whose work estimate exceeds WORK_BUDGET (the CLI's exit code 2)."""
+
+
+def _check_budget(ks: list[int], order: int) -> None:
+    """Refuse, before any solve, the distinct solves of ``ks`` at ``order``
+    if their summed (p(k+1) + 2 * p(k)) * order^2 * f exceeds WORK_BUDGET.
+
+    One scan over k = 0, 1, ... adds each solve's estimate as it passes it
+    and stops at max(ks).  The estimate only grows with k, so the scan
+    refuses as soon as the running sum or the current k's estimate is over:
+    every later solve costs at least as much.  A query with a large k is
+    refused long before the scan reaches it, and p(k) comes from
+    :func:`partition_numbers`, so a refusal enumerates no partition.
+    """
+    top, work = max(ks), 0.0
+    for m, (p, p_next) in enumerate(pairwise(partition_numbers())):
+        unit = (p_next + 2 * p) * order * order * (1 + order * (m.bit_length() + 1) / 4096)
+        work += unit if m in ks else 0
+        if max(work, unit) > WORK_BUDGET:
+            raise _QueryTooLarge(
+                "query refused: its work estimate (p(k+1)+2p(k))*N^2*f"
+                f" (N = {order}, k up to {top}) exceeds the budget of {WORK_BUDGET}"
+            )
+        if m == top:
+            return
+
+
 def solve_system(k: int, order: int) -> SeriesCache:
     """Solve the C_mu / Bbar_mu system for all mu |- k through ``order``.
 
@@ -303,7 +348,9 @@ def solve_system(k: int, order: int) -> SeriesCache:
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
     degree.  Nothing below degree d is touched again, so the result is
     independent of the requested order (monotone truncation).  The work is
-    O((p(k+1) + 2 * p(k)) * order^2) integer multiply-adds.  The returned
+    O((p(k+1) + 2 * p(k)) * order^2) integer multiply-adds, and a solve
+    whose estimate of it exceeds WORK_BUDGET is refused with a ValueError
+    (:func:`_check_budget`) before any partition is enumerated.  The returned
     cache holds the C_mu and Bbar_mu tables (keyed by mu |- k) and the
     B_lam tables (keyed by lam |- k+1).
     """
@@ -311,6 +358,7 @@ def solve_system(k: int, order: int) -> SeriesCache:
         raise ValueError(f"k must be >= 1, got {k}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    _check_budget([k], order)
 
     # A type mu |- k is named by its index s in mus, and its tables are lists.
     # Every part of every mu has a power row, however small the order.
@@ -483,7 +531,9 @@ def count_ktrees(k: int, order: int) -> ResultBundle:
 
     Solves the rooted system, aggregates B, C, E, and applies the
     dissymmetry identity U = B + C - E.  Every division on the way must be
-    exact; a failure raises IntegralityError and means an engine bug.
+    exact; a failure raises IntegralityError and means an engine bug.  A
+    solve over the work budget is refused with a ValueError before it
+    enumerates anything (:func:`solve_system`).
     """
     return _count_from(solve_system(k, order))
 
@@ -521,6 +571,21 @@ def count_fixed_by_type(cache: SeriesCache, lam: Partition) -> list[int]:
     return [b + fixed_colors * (cm - b) for b, cm in zip(b_lam, cache.c[lam[:-1]])]
 
 
+def _u_rows(ks: list[int], order: int) -> list[list[int]]:
+    """The U rows k in ``ks`` through ``order``, each from its one solve.
+
+    :func:`ktrees._jumps._solves` names the distinct solves the rows read,
+    their summed work estimate must pass :func:`_check_budget` before the
+    first of them runs, each runs once, and :func:`ktrees._jumps._rows`
+    builds every row from them.  A row at or above k = max(order - 5, 1)
+    reads the solve at that k, so no row solves above it, and a large k
+    enumerates nothing.
+    """
+    solves = _solves(ks, order)
+    _check_budget(solves, order)
+    return _rows(ks, order, {k: count_ktrees(k, order).U for k in solves})
+
+
 def stable_counts(order: int) -> list[int]:
     """The k-independent tail values: entry n is the n-hedra count at k = max(n-2, 1).
 
@@ -536,9 +601,10 @@ def stable_counts(order: int) -> list[int]:
     n <= order - 3, and the stable row adds the last jump at n = order - 2,
     the last two at n = order - 1 and all three at n = order.  A solve is
     exact at each degree up to its order, so either way its whole row is
-    the tail.
+    the tail.  An order whose base solve is over the work budget (from
+    order 36 on) is refused with a ValueError before anything is
+    enumerated (:func:`_check_budget`).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    ks = [order + 1]
-    return _rows(ks, order, {k: count_ktrees(k, order).U for k in _solves(ks, order)})[0]
+    return _u_rows([order + 1], order)[0]

@@ -159,7 +159,7 @@ def test_table_large_k_solves_each_stable_k_once(capsys, monkeypatch):
         calls.append(k)
         return count_ktrees(k, order)
 
-    monkeypatch.setattr(cli, "count_ktrees", recording)
+    monkeypatch.setattr(engine, "count_ktrees", recording)
     built = _counting_jump_builds(monkeypatch)
     code, out, _ = run_cli(
         capsys, "table", "--max-k", "30", "--max-n", "6", "--stable", "--format", "csv"
@@ -211,7 +211,7 @@ def test_the_stable_row_is_solved_one_k_below_the_stable_range(capsys, monkeypat
         calls.append((k, order))
         return count_ktrees(k, order)
 
-    monkeypatch.setattr(cli, "count_ktrees", recording)
+    monkeypatch.setattr(engine, "count_ktrees", recording)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == solves
@@ -228,6 +228,28 @@ def test_verify_reference_mode_passes(capsys):
     assert code == 0
     assert "60/60 grid cells match" in out
     assert "FAIL" not in out
+
+
+def test_the_reference_stable_row_is_the_library_stable_row(capsys, monkeypatch):
+    # The suite's rows k = 1..5 are its own solves, and its stable row is
+    # stable_counts(9), the library's one row path: the (4, 9) solve plus
+    # the jumps read off the rooted trees.
+    rows, solves = [], []
+
+    def stable(order):
+        rows.append(order)
+        return engine.stable_counts(order)
+
+    def recording(k, order):
+        solves.append((k, order))
+        return count_ktrees(k, order)
+
+    monkeypatch.setattr(cli, "stable_counts", stable)
+    monkeypatch.setattr(engine, "count_ktrees", recording)
+    code, out, _ = run_cli(capsys, "verify", "--mode", "reference")
+    assert code == 0
+    assert "PASS reference: stable row matches embedded table (10/10 cells)\n" in out
+    assert (rows, solves) == ([9], [(4, 9)])
 
 
 def _zeroed_reference_row(monkeypatch):
@@ -458,7 +480,7 @@ def test_integrality_violation_exits_3(capsys, monkeypatch):
     def broken(k, order):
         raise IntegralityError("coefficient of x^1 is 1/2, not an integer")
 
-    monkeypatch.setattr(cli, "count_ktrees", broken)
+    monkeypatch.setattr(engine, "count_ktrees", broken)
     code, out, err = run_cli(capsys, "count", "--k", "2", "--terms", "4")
     assert code == 3
     assert out == ""
@@ -590,7 +612,7 @@ def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a refused query must not be solved")
 
-    monkeypatch.setattr(cli, "count_ktrees", never)
+    monkeypatch.setattr(engine, "count_ktrees", never)
     monkeypatch.setattr(engine, "solve_system", never)
     for argv in (
         ["count", "--k", "40", "--terms", "200"],
@@ -610,22 +632,22 @@ def test_queries_over_the_work_budget_exit_2(capsys, monkeypatch):
 def test_work_budget_edge():
     # At k = 1 the estimate is 4 * N^2 * (1 + 2N / 4096): N = 1958 is just
     # under 3 * 10^7, N = 1959 just over.
-    cli._check_budget([1], 1958)
-    with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget([1], 1959)
+    engine._check_budget([1], 1958)
+    with pytest.raises(engine._QueryTooLarge):
+        engine._check_budget([1], 1959)
     # A table's estimate sums its solves: p(30) * 31^2 alone fits the
     # budget, (p(1) + ... + p(30)) * 31^2 does not.
-    cli._check_budget([30], 31)
-    with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget(list(range(1, 31)), 31)
+    engine._check_budget([30], 31)
+    with pytest.raises(engine._QueryTooLarge):
+        engine._check_budget(list(range(1, 31)), 31)
 
 
 def test_the_stable_row_budget_edge():
     # stable --terms 36 solves (30, 35) alone and fits; --terms 37 would
     # solve (31, 36) and is refused.  Nothing is solved here.
-    cli._check_budget(_jumps._solves([36], 35), 35)
-    with pytest.raises(cli._QueryTooLarge):
-        cli._check_budget(_jumps._solves([37], 36), 36)
+    engine._check_budget(_jumps._solves([36], 35), 35)
+    with pytest.raises(engine._QueryTooLarge):
+        engine._check_budget(_jumps._solves([37], 36), 36)
 
 
 def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():
@@ -640,10 +662,10 @@ def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():
     for n in [*range(0, 61, 3), 300, 1958, 1959, 5000]:
         for top in range(1, 31):
             for ks in ([top], list(range(1, top + 1)), [1, top, top]):
-                fits = sum(estimate(k, n) for k in sorted(set(ks))) <= cli.WORK_BUDGET
+                fits = sum(estimate(k, n) for k in sorted(set(ks))) <= engine.WORK_BUDGET
                 try:
-                    cli._check_budget(ks, n)
-                except cli._QueryTooLarge:
+                    engine._check_budget(ks, n)
+                except engine._QueryTooLarge:
                     assert not fits, (ks, n)
                 else:
                     assert fits, (ks, n)

@@ -123,6 +123,10 @@ def test_a_negative_order_is_refused_like_the_engine(solve, order):
 
 def test_second_jump_reference_values():
     assert second_jump(12)[5:] == [6, 19, 56, 171, 512, 1536, 4567, 13577]
+    # Below n = 5 the entries are the series' own coefficients, all zero,
+    # one per degree at the two shortest orders too.
+    assert second_jump(0) == [0]
+    assert second_jump(1) == [0, 0]
 
 
 def test_second_jump_equals_the_engine_through_20():

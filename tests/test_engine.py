@@ -10,7 +10,6 @@ from math import factorial
 import pytest
 
 from ktrees import _jumps, engine
-from ktrees.cli import REFERENCE_COUNTS
 from ktrees.closedforms import rooted_trees
 from ktrees.engine import (
     compute_B,
@@ -309,6 +308,32 @@ def test_stable_counts_solve_one_k_below_the_stable_range(monkeypatch):
     assert calls == [(11, 16)]
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [(count_ktrees, (100, 3)), (count_ktrees, (60, 200)), (stable_counts, (60,)),
+     (solve_system, (99, 101))],
+)
+def test_over_budget_library_calls_are_refused_before_any_enumeration(monkeypatch, call, args):
+    # count_ktrees(100, 3) alone would enumerate p(100) + p(101) ~ 4 * 10^8
+    # partitions, and stable_counts(60) would solve (55, 60), about 1.4 M
+    # series: each is refused with a ValueError that names the budget, and
+    # not an IntegralityError, which means an engine bug.
+    def never(m):
+        raise AssertionError("a refused call must not enumerate partitions")
+
+    monkeypatch.setattr(engine, "partitions_of", never)
+    with pytest.raises(ValueError, match="exceeds the budget of 30000000$") as refused:
+        call(*args)
+    assert not isinstance(refused.value, IntegralityError)
+
+
+def test_the_solves_of_the_library_tests_and_checks_are_under_budget():
+    # The largest solves that library calls, the tests and the CI checks
+    # make, the k past the order of count_ktrees(45, 3) included.
+    for k, order in [(45, 3), (30, 8), (27, 32), (30, 35), (14, 12), (22, 26), (25, 26)]:
+        engine._check_budget([k], order)
+
+
 def test_stable_range_starts_exactly_at_n_minus_2():
     stable = stable_counts(12)
     # One k lower, column n is still short of the tail (by the tree count).
@@ -360,8 +385,6 @@ def test_every_row_built_from_its_solves_is_the_row_solved_directly():
         assert solves == list(range(1, base + 1)), order
         rows = _jumps._rows(ks, order, {s: solved[s] for s in solves})
         assert rows == [solved[k] for k in ks], order
-    # The reference suite's stable row reads only the rows it solves.
-    assert set(_jumps._solves([10], 9)) <= set(REFERENCE_COUNTS)
 
 
 def test_a_second_jump_remainder_names_the_degree(monkeypatch):
