@@ -25,6 +25,7 @@ never bad input).
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from itertools import permutations, zip_longest
@@ -428,6 +429,11 @@ def _parse(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A command builds only acyclic lists and tuples of ints, which the cyclic
+    # collector's passes would scan and never free: it is paused while the
+    # command runs, and the caller's setting is restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args, sys.stdout)
@@ -440,3 +446,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()

@@ -40,20 +40,25 @@ log-derivatives are kept from their x^1 term on, so a step is one dot
 product against its series read backwards and one exact division.  All
 the bookkeeping around it (which tables a log-derivative term reads, with
 what weight) is settled once per solve, and each degree grows every C_mu
-and every product in one batch of such steps, each pass over the batch a
-C-level ``map``, with every remainder checked before any series grows.
+and every product of two parts or more in one batch of such steps, each
+pass over the batch a C-level ``map``, with every remainder checked before
+any series grows; a product of one part is read off C.
 A degree d's new log-derivative terms are columns indexed by type: C's sums,
 over divisors m of d, the column of q * Bbar[q] at q = d/m read at the
 index of every mu^m by one itemgetter, and the products' sums, over their
 parts i | d, C's column kept from degree d/i read at every factor's nu and
-scaled by its weight.  That bookkeeping names each cycle type once, by
-its index in the enumeration of the partitions of k (or of k+1): the
-power map mu -> mu^m is a row of indices, one :func:`cycle_power` per
-type and prime p whose p-th power moves it, with every other row composed
-from those, and there is a row for every part of every mu whatever the
-order.  A lam = mu + (1,) looks mu up by its key, as E looks up each
-mu + (1,).  The per-type tables become dicts keyed by the partitions only
-when the solve returns.
+scaled by its weight.  Those part columns hold every product of two parts
+or more but the B_{mu+(1,)} whose mu has two parts or more: that B is
+Bbar_mu * C_mu, so its term is Bbar_mu's plus a_mu[d], one addition, and
+it sits last in the batch.  B_(k, 1) stays in the part columns, since
+Bbar_(k), of one part, has no term in the batch.  That bookkeeping names
+each cycle type once, by its index in the enumeration of the partitions
+of k (or of k+1): the power map mu -> mu^m is a row of indices, one
+:func:`cycle_power` per type and prime p whose p-th power moves it, with
+every other row composed from those, and there is a row for every part of
+every mu whatever the order.  A lam = mu + (1,) looks mu up by its key, as
+E looks up each mu + (1,).  The per-type tables become dicts keyed by the
+partitions only when the solve returns.
 
 A batch comes in two orientations.  While its series are short and it is
 wide, it keeps each degree's log-derivative terms and new coefficients as
@@ -321,6 +326,12 @@ def solve_system(k: int, order: int) -> SeriesCache:
       weights.  A product without part i reads a zero at the columns'
       sentinel index p(k).  A product of one part is C_nu(x^i) itself and
       is read off C.
+    * B_{mu+(1,)} = Bbar_mu * C_mu, so for every mu of two parts or more
+      its log-derivative term at degree n is Bbar_mu's plus a_mu[n], and it
+      has no weight, source or getter entry in the part columns, which
+      hold the Bbar_mu of two parts or more first, then the B_lam without
+      a fixed point and B_(k, 1).  Only the Bbar_mu terms are built as a
+      list; k = 1 has no such B.
 
     Both read a type by its index s in ``partitions_of(k)``.  The powers
     mu^m come from :func:`_power_rows`: a row of indices for each
@@ -332,7 +343,11 @@ def solve_system(k: int, order: int) -> SeriesCache:
     key; a B_lam without one costs one :func:`cycle_power` per distinct
     part.
 
-    The batch of width p(k+1) + 2 * p(k) - 2 takes its dot products by
+    The batch grows every C_mu, then the products of the part columns,
+    then the B_{mu+(1,)} read off Bbar_mu in the order of mu, and a
+    remainder names the first of them that has one; Bbar_(k) and B_(k+1)
+    are read off C after it.  The batch, of width p(k+1) + 2 * p(k) - 2
+    with the B_{mu+(1,)} counted in, takes its dot products by
     columns below degree :func:`_first_row_degree` of its width and by rows
     from there on (never by columns at k = 1).  By columns no per-type
     table grows: each degree appends one column of log-derivative terms and
@@ -392,20 +407,29 @@ def solve_system(k: int, order: int) -> SeriesCache:
         (where_b, table, lam, index[lam[:-1]] if lam[-1] == 1 else None)
         for lam, table in zip(lams, b)
     ]
-    # One batch grows every C_mu, then every product of two parts or more;
-    # a grown column then holds the products of one part, read off C.
-    products.sort(key=lambda product: len(product[2]) == 1)
-    # Part i's column holds each product's weight (multiplicity * i) and the
-    # index of the a_nu it scales, the sentinel where i is no part of it.
-    # Every part i <= k is in some product of two parts or more (i, 1, ...).
+    # One batch grows every C_mu, then every product of two parts or more,
+    # with the B_{mu+(1,)} linked to Bbar_mu last: those of every mu but
+    # mus[0] = (k), the B with s >= 1, in mus order.  A grown column then
+    # holds the products of one part, read off C.
+    products.sort(key=lambda p: (len(p[2]) == 1, p[0] == where_b and bool(p[3])))
+    # Part i's column holds the weight (multiplicity * i) of each product
+    # before the linked ones and the index of the a_nu it scales, the
+    # sentinel where i is no part of it.  Every part i <= k is in some
+    # Bbar_(i, 1, ...) or in B_(k, 1).
     series, names, one_part = c[:], list(zip(repeat(where_c), mus, repeat(0))), []
-    batch = len(products) - 2  # all but Bbar_(k) and B_(k+1)
-    weights = [[0] * batch for _ in range(k)]
-    sources = [[sentinel] * batch for _ in range(k)]
+    linked = sentinel - 1
+    width = len(products) - 2 - linked  # all but the linked, Bbar_(k) and B_(k+1)
+    weights = [[0] * width for _ in range(k)]
+    sources = [[sentinel] * width for _ in range(k)]
     bbar_slots = [0] * sentinel  # where Bbar_mu lands in a column the batch grew
     for slot, (where, table, parts, s) in enumerate(products, sentinel):
         if where == where_bbar:
             bbar_slots[s] = slot
+        if len(parts) > 1:
+            series.append(table)
+            names.append((where, parts, 1))
+        if width <= slot - sentinel < width + linked:
+            continue  # linked: Bbar_mu's log-derivative terms plus a_mu's
         for i in set(parts):
             nu = rows[i][s] if s is not None else index[cycle_power(parts, i)[:-1]]
             if len(parts) == 1:
@@ -414,9 +438,6 @@ def solve_system(k: int, order: int) -> SeriesCache:
             else:
                 weights[i - 1][slot - sentinel] = parts.count(i) * i
                 sources[i - 1][slot - sentinel] = nu
-        if len(parts) > 1:
-            series.append(table)
-            names.append((where, parts, 1))
     tables = series + [table for table, *_ in one_part]
     # Part 1 divides every degree, so each degree's column starts from it.
     (_, first_weights, first_getter), *part_columns = [
@@ -464,6 +485,11 @@ def solve_system(k: int, order: int) -> SeriesCache:
                 g_d = map(add, g_d, map(mul, weights_i, getter(a_columns[q])))
                 if i == k or d + q >= order:
                     a_columns[q] = None  # read for the last time
+        if linked:
+            # The part columns start with Bbar_mu for every mu but (k), whose
+            # terms the linked B_{mu+(1,)} read again.
+            bbar_g = list(islice(g_d, linked))
+            g_d = chain(bbar_g, g_d, map(add, bbar_g, islice(a_d, 1, sentinel)))
         g_d = chain(islice(a_d, sentinel), g_d)
         if d < switch:
             grown = _euler_steps(g_columns, series_columns, list(g_d), d, names, columns=True)

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, verify wiring."""
 
+import gc
 import hashlib
 import json
 import os
@@ -671,6 +672,54 @@ def test_work_budget_decision_is_the_summed_estimate_of_the_distinct_solves():
                     assert fits, (ks, n)
                 decisions.add(fits)
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_a_command_runs_no_collection_and_restores_the_collector(capsys, monkeypatch, collecting):
+    # main pauses the cyclic collector while a command runs.  The probe
+    # counts the collections that start while main is on the stack; with
+    # the generation-0 threshold at 1, any allocation main made with the
+    # collector running would start one.  The caller's setting comes back
+    # on every exit: 0, a usage error, an over-budget refusal and a planted
+    # engine bug.
+    def broken(k, order):
+        raise IntegralityError("k=2, mu=(2,), degree 2: 1/2 is not an integer")
+
+    inside = []
+
+    def probe(phase, info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not cli.main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    cases = [
+        (["stable", "--terms", "17"], 0),
+        (["count", "--k", "0"], 2),
+        (["stable", "--terms", "200"], 2),
+        (["count", "--k", "2", "--terms", "4"], 3),
+    ]
+    before, threshold = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(probe)
+    try:
+        for argv, code in cases:
+            if code == 3:
+                monkeypatch.setattr(engine, "count_ktrees", broken)
+            (gc.enable if collecting else gc.disable)()
+            gc.set_threshold(1, *threshold[1:])
+            try:
+                got = cli.main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            finally:
+                gc.set_threshold(*threshold)
+            assert (got, gc.isenabled(), inside) == (code, collecting, []), argv
+    finally:
+        gc.callbacks.remove(probe)
+        gc.set_threshold(*threshold)
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
 
 
 def test_module_entry_point():

@@ -154,6 +154,18 @@ def test_B_lambda_matches_substituted_product():
             assert Series(order, cache.bbar[mu]) == product(cache.c, order, nus), (k, mu)
 
 
+def test_B_of_a_type_with_a_fixed_point_is_Bbar_times_C():
+    # B_{mu+(1,)} = Bbar_mu * C_mu, the integer product truncated at the
+    # order.  The solve grows B_(k, 1) from its own factors and every other
+    # B_{mu+(1,)} from Bbar_mu's log-derivative plus C_mu's.
+    for k, order in [*((k, 16) for k in range(1, 15)), (20, 22)]:
+        cache = solve_system(k, order)
+        for mu in partitions_of(k):
+            bbar, c = cache.bbar[mu], cache.c[mu]
+            product = [sum(bbar[j] * c[n - j] for j in range(n + 1)) for n in range(order + 1)]
+            assert cache.b[(*mu, 1)] == product, (k, mu)
+
+
 def test_black_aggregate_identity_k1():
     # B = (x/2)(R(x)^2 + R(x^2)) as an identity of computed series.
     cache = solve_system(1, 12)
