@@ -58,36 +58,29 @@ Row = tuple[int | str, list[int]]
 # ---------------------------------------------------------------- output
 
 
-def _print_counts(k: int | str, counts: list[int], fmt: str, out: TextIO) -> None:
-    if fmt == "csv":
-        out.write(",".join(str(c) for c in counts) + "\n")
-    elif fmt == "json":
+def _print_rows(rows: list[Row], fmt: str, out: TextIO, grid: bool) -> None:
+    """Write ``rows`` in ``fmt``: in csv, and in plain without ``grid``, one
+    line of counts per row; in json, the list of row objects with ``grid``
+    and the first row's object without it; in plain with ``grid``, the
+    table, one line per row under a header of n."""
+    if fmt == "json":
         import json  # here, not at the top: only --format json runs pay for it
 
-        out.write(json.dumps({"k": k, "counts": counts}) + "\n")
+        objects = [{"k": k, "counts": counts} for k, counts in rows]
+        out.write(json.dumps(objects if grid else objects[0]) + "\n")
+    elif fmt == "csv" or not grid:
+        sep = "," if fmt == "csv" else " "
+        out.writelines(sep.join(map(str, counts)) + "\n" for _, counts in rows)
     else:
-        out.write(" ".join(str(c) for c in counts) + "\n")
-
-
-def _print_table(rows: list[Row], fmt: str, out: TextIO) -> None:
-    if fmt == "csv":
-        for _, counts in rows:
-            out.write(",".join(str(c) for c in counts) + "\n")
-        return
-    if fmt == "json":
-        import json
-
-        out.write(json.dumps([{"k": k, "counts": counts} for k, counts in rows]) + "\n")
-        return
-    grid = [["k\\n", *map(str, range(len(rows[0][1])))]]
-    grid += [[str(label), *map(str, counts)] for label, counts in rows]
-    widths = [max(map(len, column)) for column in zip(*grid)]
-    for label, *cells in grid:
-        out.write(
-            label.ljust(widths[0])
-            + "".join(f"  {cell.rjust(width)}" for cell, width in zip(cells, widths[1:]))
-            + "\n"
-        )
+        table = [["k\\n", *map(str, range(len(rows[0][1])))]]
+        table += [[str(label), *map(str, counts)] for label, counts in rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        for label, *cells in table:
+            out.write(
+                label.ljust(widths[0])
+                + "".join(f"  {cell.rjust(width)}" for cell, width in zip(cells, widths[1:]))
+                + "\n"
+            )
 
 
 # ---------------------------------------------------------------- commands
@@ -106,17 +99,17 @@ def _rows(ks: Sequence[int], order: int, stable: bool) -> list[Row]:
 
 
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
-    _print_counts(*_rows([args.k], args.terms - 1, False)[0], args.format, out)
+    _print_rows(_rows([args.k], args.terms - 1, False), args.format, out, False)
     return 0
 
 
 def _cmd_table(args: SimpleNamespace, out: TextIO) -> int:
-    _print_table(_rows(range(1, args.max_k + 1), args.max_n, args.stable), args.format, out)
+    _print_rows(_rows(range(1, args.max_k + 1), args.max_n, args.stable), args.format, out, True)
     return 0
 
 
 def _cmd_stable(args: SimpleNamespace, out: TextIO) -> int:
-    _print_counts(*_rows([], args.terms - 1, True)[0], args.format, out)
+    _print_rows(_rows([], args.terms - 1, True), args.format, out, False)
     return 0
 
 

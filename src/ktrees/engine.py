@@ -65,9 +65,10 @@ wide, it keeps each degree's log-derivative terms and new coefficients as
 columns over the batch and takes all of a degree's dot products down them
 in one ``zip``, which spares each series the set-up of a dot product of
 its own.  At the first degree where that stops paying, d > 16 or
-2 * d >= the batch's width by the measured crossover, it is transposed
-once into one list per series, and each series takes its own dot product
-from there on.
+2 * d >= the batch's width by the measured crossover, or at the order if
+that comes first, it is transposed once into one list per series, and
+each series takes its own dot product from there on.  So every solve takes
+its last degree, which grows C alone, by rows.
 
 Everything is solved degree by degree: the leading factor x in ``Bbar``
 means degree d of ``Bbar`` only needs ``C`` through degree d-1, so one
@@ -224,18 +225,19 @@ def _euler_steps(
     orientations.  By rows, ``gs[b]`` is series b's g (g[t] at index
     t - 1) and ``series[b]`` its table x^shift * G; entries of ``column``
     past the batch are left unread.  By ``columns``, ``gs[t - 1]`` holds
-    g[t] and ``series[t]`` holds G[t] of every series, ``column`` is a list
-    as long as the batch, and the grown column is appended to ``series``
-    and returned; a G column may run past the batch, and its excess is left
-    unread.  Each pass over the batch is one C-level ``map``: by rows one
-    dot product per series, each with its own ``map``, ``reversed`` and
-    ``sum``, by columns all of them down the columns in one ``zip``.  The Euler-transform
-    recurrence n * G[n] = sum_{t=1..n} g[t] * G[n-t] must divide exactly
-    for every series before any of them grows: a remainder raises
-    IntegralityError at the first series of the batch that has one, named
-    by ``names[b]`` = (where, type, shift) and the degree n + shift of the
-    coefficient being produced, by :meth:`IntegralityError.quotient`;
-    locations are formatted only once a remainder is found.
+    g[t] and ``series[t]`` holds G[t] of every series, ``column`` is
+    always a list as wide as the batch, and the grown column is appended to
+    ``series`` and returned; a G column may run past the batch, and its
+    excess is left unread.  Each pass over the batch is one C-level
+    ``map``: by rows one dot product per series, each with its own ``map``,
+    ``reversed`` and ``sum``, by columns all of them down the columns in one
+    ``zip``.  The Euler-transform recurrence
+    n * G[n] = sum_{t=1..n} g[t] * G[n-t] must divide exactly for every
+    series before any of them grows: a remainder raises IntegralityError at
+    the first series of the batch that has one, named by ``names[b]`` =
+    (where, type, shift) and the degree n + shift of the coefficient being
+    produced, by :meth:`IntegralityError.quotient`; locations are formatted
+    only once a remainder is found.
     """
     if columns:
         gs.append(column)
@@ -348,16 +350,19 @@ def solve_system(k: int, order: int) -> SeriesCache:
     remainder names the first of them that has one; Bbar_(k) and B_(k+1)
     are read off C after it.  The batch, of width p(k+1) + 2 * p(k) - 2
     with the B_{mu+(1,)} counted in, takes its dot products by
-    columns below degree :func:`_first_row_degree` of its width and by rows
-    from there on (never by columns at k = 1).  By columns no per-type
-    table grows: each degree appends one column of log-derivative terms and
-    one of new coefficients, which the batch returns and the solve extends
-    by the products of one part, reading their C_nu[d/i] off C's column
-    kept from degree d/i; the next column of q * Bbar_mu[q] is read off it.
-    At the switch, or after the last degree if the batch never switches,
-    the tables are filled from the columns one zip row at a time and the
-    columns are dropped.  By rows each series grows its own table, and the
-    solve reads C_nu[d/i] and Bbar_mu[d+1] off the tables.
+    columns below degree min(:func:`_first_row_degree` of its width, order)
+    and by rows from there on: every degree by rows at k = 1, whose batch
+    of two switches at degree 1, and the last degree, which grows C alone,
+    by rows in every solve.  By columns no per-type table grows: each
+    degree appends one column of log-derivative terms and one of new
+    coefficients, which the batch returns and the solve extends by the
+    products of one part, reading their C_nu[d/i] off C's column kept from
+    degree d/i; the next column of q * Bbar_mu[q] is read off it.  At the
+    switch the tables are filled from the columns one zip row at a time and
+    the columns are dropped, and the log-derivatives of every series, or of
+    C alone at the last degree, become rows.  By rows each series grows its
+    own table, and the solve reads C_nu[d/i] and Bbar_mu[d+1] off the
+    tables.
 
     Every division must be exact, and a remainder raises IntegralityError
     naming k, the type (mu for C_mu and Bbar_mu, lam for B_lam) and the
@@ -449,7 +454,7 @@ def solve_system(k: int, order: int) -> SeriesCache:
     # order of tables; by rows, log_deriv[j][n - 1] is series j's x^n term,
     # so log_deriv[s][q - 1] = a_mu[q] = q * [x^q] log C_mu.
     g_columns, series_columns = [], [[1] * len(tables)]
-    switch = _first_row_degree(len(series))
+    switch = min(_first_row_degree(len(series)), order)
 
     for d in range(1, order + 1):
         # The exponential's argument sum_m Bbar_{mu^m}(x^m)/m reaches x^d
@@ -463,17 +468,14 @@ def solve_system(k: int, order: int) -> SeriesCache:
         a_d = list(a_d)
         if d == switch:
             # Rows are cheaper from here on: transpose once, one row at a time.
-            log_deriv: list[list[int]] = [[] for _ in series]
+            # A switch at the last degree, which grows C alone, keeps C's
+            # log-derivatives only.
+            log_deriv: list[list[int]] = [[] for _ in (c if d == order else series)]
             any(map(list.extend, log_deriv, zip(*g_columns)))
             any(map(list.extend, tables, zip(*series_columns[1:])))
             g_columns = series_columns = None
         if d == order:
-            if d < switch:
-                _euler_steps(g_columns, series_columns, a_d[:sentinel], d, names, columns=True)
-                any(map(list.extend, tables, zip(*series_columns[1:-1])))
-                any(map(list.append, c, series_columns[-1]))
-            else:
-                _euler_steps(log_deriv[:sentinel], c, a_d, d, names)
+            _euler_steps(log_deriv[:sentinel], c, a_d, d, names)
             break
         if 2 * d < order:
             a_columns[d] = a_d  # parts i >= 2 read it at degrees i * d < order

@@ -112,7 +112,7 @@ PINNED_OUTPUTS = [
         ("verify", "--mode", "all"),
         "099d6677a4dac70c98e5a9daec73b3cefefac35137f005e646fefa59b37b2d49",
     ),
-    # The three row commands' shared planner and both printers: a plain grid
+    # The three row commands' shared planner and writer: a plain grid
     # whose columns differ in width, rows clamped to the stable solve, the
     # stable row as JSON, and a count clamped from k = 40.
     (
@@ -130,6 +130,12 @@ PINNED_OUTPUTS = [
     (
         ("count", "--k", "40", "--terms", "8"),
         "ae3e51b3cd4b06b47f2e2c5bc3ff480952a5834e0e9bb611ace761f2a96a1736",
+    ),
+    # A count as JSON: the single object, '{"k": 3, "counts": [1, 1, 1, 2,
+    # 5, 15, 58, 275, 1505, 9003]}' and a newline.
+    (
+        ("count", "--k", "3", "--terms", "10", "--format", "json"),
+        "db75bcf1ab948015dae924fc985505ccb5fd74ca85f214c72d104f7fd9c4c13b",
     ),
 ]
 

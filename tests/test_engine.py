@@ -651,15 +651,16 @@ def test_solve_tables_are_pinned(k, order):
 
 
 # Each pinned solve's orientation at degree 1 and the degree at which it
-# switches to rows (None: never), so that the digests above keep both
-# orientations and the switch covered when the switch test changes.
+# switches to rows (None: never, for a solve that starts by rows), so that
+# the digests above keep both orientations and the switch covered when the
+# switch test changes.  A solve switches at its order at the latest.
 SOLVE_ORIENTATIONS = {
     (1, 200): ("rows", None),
     (5, 80): ("columns", 12),
-    (11, 16): ("columns", None),
-    (12, 12): ("columns", None),
-    (13, 12): ("columns", None),
-    (14, 16): ("columns", None),
+    (11, 16): ("columns", 16),
+    (12, 12): ("columns", 12),
+    (13, 12): ("columns", 12),
+    (14, 16): ("columns", 16),
     (14, 40): ("columns", 17),
     (20, 24): ("columns", 17),
 }
@@ -672,6 +673,9 @@ def test_pinned_solves_start_and_switch_orientation_where_pinned(monkeypatch, k,
 
     def recorded(gs, series, column, n, names, columns=False):
         seen.append((n, columns))
+        if columns:
+            # A column of terms is as wide as the batch it grows.
+            assert len(column) == len(names), (n, len(column), len(names))
         return steps(gs, series, column, n, names, columns)
 
     monkeypatch.setattr(engine, "_euler_steps", recorded)
@@ -679,6 +683,7 @@ def test_pinned_solves_start_and_switch_orientation_where_pinned(monkeypatch, k,
     assert [n for n, _ in seen] == list(range(1, order + 1))
     orientations = [columns for _, columns in seen]
     assert orientations == sorted(orientations, reverse=True)  # columns, then rows
+    assert not orientations[-1]  # the last degree, which grows C alone, by rows
     start = "columns" if orientations[0] else "rows"
     switch = next((n for n, columns in seen if columns != orientations[0]), None)
     assert (start, switch) == SOLVE_ORIENTATIONS[k, order]
